@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._numeric import COND_LIMIT
 from .errors import ConfigError, SolverError
 from .panel import PanelData
 
@@ -36,8 +37,6 @@ __all__ = [
 
 # Ridge grid used for pre-intervention cross-validation when none is given.
 DEFAULT_CV_GRID: tuple[float, ...] = tuple(10.0**k for k in range(-1, 7))
-
-_RIDGE_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def _ridge_solve(X_pre: np.ndarray, y_pre: np.ndarray, lam: float) -> np.ndarray
     n = X_pre.shape[0]
     normal = X_pre @ X_pre.T + lam * np.eye(n)
     vals = np.linalg.eigvalsh(normal)
-    if vals[0] <= 0 or vals[-1] / vals[0] > _RIDGE_COND_LIMIT:
+    if vals[0] <= 0 or vals[-1] / vals[0] > COND_LIMIT:
         raise SolverError(
             "ridge normal matrix is singular; use lambda > 0", residual=float(vals[0])
         )

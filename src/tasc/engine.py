@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm
 
-from ._numeric import ensure_spd, min_eig, symmetrize
+from ._numeric import COND_LIMIT, ensure_spd, min_eig, symmetrize
 from .errors import ConfigError, FitError, NumericalError, TascError
 from .panel import PanelData
 from .ssm import (
@@ -52,8 +52,6 @@ _INIT_R_FLOOR = 1e-4
 # Allowed numerical slack when checking that EM never decreases the
 # log-likelihood.
 _MONOTONE_SLACK = 1e-6
-
-_COND_LIMIT = 1e12
 
 
 @dataclass
@@ -193,7 +191,7 @@ def accumulate_stats(smoothed: SmoothedTrajectory, Y: np.ndarray) -> SufficientS
 def _spd_inverse_factor(m: np.ndarray, what: str) -> np.ndarray:
     """Inverse of an SPD matrix with an explicit conditioning gate."""
     vals = np.linalg.eigvalsh(m)
-    if vals[0] <= 0 or vals[-1] / vals[0] > _COND_LIMIT:
+    if vals[0] <= 0 or vals[-1] / vals[0] > COND_LIMIT:
         raise NumericalError(f"{what} is singular or ill-conditioned")
     return np.linalg.inv(m)
 

@@ -10,6 +10,15 @@ per-period scalar seasonal offset s_t.  This module provides the forward
 (Kalman) recursion, a variant that treats the target row of y_t as missing by
 sending its observation-noise variance to infinity, the backward (RTS)
 smoothing recursion, and the innovation log-likelihood.
+
+The forward update never factors the N x N innovation covariance S.  It is
+collapsed to d x d by Woodbury and the matrix determinant lemma (Jungbacker &
+Koopman 2015; Durbin & Koopman, Time Series Analysis by State Space Methods,
+section 6.5): once per parameter set and row set, R is factored (a reciprocal
+of its diagonal under ``diag_noise``) and J = H' R^-1 H formed in O(N d^2);
+each step then costs O(N d + d^3), plus O(N^2) to whiten the innovation when
+R is a full matrix.  A missing target is the same update conditioned on the
+donor rows ``1:``.
 """
 
 from __future__ import annotations
@@ -19,9 +28,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from ._numeric import min_eig, spd_cholesky, spd_solve, symmetrize
-from .errors import ConfigError
+from ._numeric import check_factor_diag, min_eig, psd_sqrt, spd_cholesky, spd_solve, symmetrize
+from .errors import ConfigError, NumericalError
 
 __all__ = [
     "StateSpaceParams",
@@ -79,14 +89,19 @@ class StateSpaceParams:
             raise ConfigError("R must be N x N")
         if self.m0.shape != (d,):
             raise ConfigError("m0 must have length d")
-        _check_spd("Q", self.Q)
-        _check_spd("R", self.R)
-        _check_spd("P0", self.P0)
-        if self.diag_noise:
-            if np.any(self.Q != np.diag(np.diag(self.Q))) or np.any(
-                self.R != np.diag(np.diag(self.R))
-            ):
+        for name in ("Q", "R"):
+            m = getattr(self, name)
+            if not self.diag_noise:
+                _check_spd(name, m)
+                continue
+            # A diagonal matrix is PD exactly when its diagonal is, so the
+            # N x N eigendecomposition is skipped.
+            diag = np.diag(m)
+            if np.any(m != np.diag(diag)):
                 raise ConfigError("diag_noise requires exactly diagonal Q and R")
+            if diag.min() <= -_PD_TOL:
+                raise ConfigError(f"{name} must be positive definite")
+        _check_spd("P0", self.P0)
 
     @property
     def d(self) -> int:
@@ -143,47 +158,99 @@ def initial_state(theta: StateSpaceParams) -> FilterState:
     return FilterState(k=0, m_pred=theta.m0, P_pred=theta.P0, m=theta.m0, P=theta.P0)
 
 
-def _step_full(y_k, prev, theta, s_k):
-    """Standard update; returns (state, innovation, chol of S)."""
-    A, H, Q, R = theta.A, theta.H, theta.Q, theta.R
-    k = prev.k + 1
-    m_pred = A @ prev.m
-    P_pred = symmetrize(A @ prev.P @ A.T + Q)
-    v = y_k - H @ m_pred
-    if s_k is not None:
-        v = v - s_k
-    S = symmetrize(H @ P_pred @ H.T + R)
-    low = spd_cholesky(S, "innovation covariance S", step=k)
-    K = spd_solve(low, H @ P_pred).T  # K = P_pred H^T S^{-1}
-    m = m_pred + K @ v
-    P = symmetrize(P_pred - K @ S @ K.T)
-    return FilterState(k=k, m_pred=m_pred, P_pred=P_pred, m=m, P=P), v, low
+@dataclass(frozen=True)
+class _ObservedRows:
+    """The observation rows one update conditions on, prepared once per theta.
 
-
-def _step_missing(y_k, prev, theta, s_k):
-    """Missing-target update; returns (state, donor innovation, chol of S2).
-
-    The inverse innovation covariance in the infinite-variance limit is the
-    donor-block inverse padded with a zero target row/column, so the target
-    column of the gain vanishes and only the donor block of S contributes to
-    the covariance update.
+    Observations are whitened by R's Cholesky factor C (R = C C'), so that
+    for an innovation v the update needs only ``Hw = C^-1 H`` and
+    ``J = H' R^-1 H = Hw' Hw``.  Under ``diag_noise`` C is the square root of
+    R's diagonal and whitening is an elementwise product.
     """
-    A, H, Q, R = theta.A, theta.H, theta.Q, theta.R
-    if theta.n_obs < 2:
+
+    rows: slice
+    Hw: np.ndarray  # C^-1 H[rows]
+    J: np.ndarray  # Hw' Hw, d x d
+    logdet_R: float
+    inv_sd: np.ndarray | None  # 1 / sqrt(diag R[rows]) under diag_noise
+    low_R: np.ndarray | None  # C otherwise
+
+    def whiten(self, v: np.ndarray) -> np.ndarray:
+        if self.inv_sd is not None:
+            return self.inv_sd * v
+        return solve_triangular(self.low_R, v, lower=True, check_finite=False)
+
+
+_INNOVATION = "innovation covariance S"
+
+
+def _observed_rows(theta: StateSpaceParams, target_missing: bool, step: int) -> _ObservedRows:
+    """Prepare the update over all rows, or over the donor rows ``1:``.
+
+    R's block on those rows is gated as the innovation covariance would be:
+    a failure raises NumericalError at ``step``, the first step that uses it.
+    """
+    if target_missing and theta.n_obs < 2:
         raise ConfigError("missing-target update needs at least one donor row")
+    rows = slice(1, None) if target_missing else slice(None)
+    H = theta.H[rows]
+    if theta.diag_noise:
+        r = np.diag(theta.R)[rows]
+        if not np.all(r > 0):
+            raise NumericalError(f"{_INNOVATION} is not positive definite", step=step)
+        sd = np.sqrt(r)
+        check_factor_diag(sd, _INNOVATION, step)
+        inv_sd, low_R = 1.0 / sd, None
+        Hw = inv_sd[:, None] * H
+        logdet_R = float(np.log(r).sum())
+    else:
+        low_R = spd_cholesky(theta.R[rows, rows], _INNOVATION, step=step)
+        inv_sd = None
+        Hw = solve_triangular(low_R, H, lower=True, check_finite=False)
+        logdet_R = 2.0 * float(np.log(np.diag(low_R)).sum())
+    J = symmetrize(Hw.T @ Hw)
+    return _ObservedRows(rows=rows, Hw=Hw, J=J, logdet_R=logdet_R, inv_sd=inv_sd, low_R=low_R)
+
+
+def _update(y_k, prev, theta, s_k, obs: _ObservedRows) -> tuple[FilterState, float]:
+    """Predict from ``prev``, then condition on the rows of ``obs``.
+
+    Information form: with P_pred = L L' and M = I + L' J L (d x d),
+
+        P = L M^-1 L',   m = m_pred + L a,   a = M^-1 L' Hw' vw,
+
+    where vw is the whitened innovation.  By Woodbury and the determinant
+    lemma log det S = log det R + log det M, and v' S^-1 v equals
+    |vw - Hw L a|^2 + |a|^2, a sum of squares free of cancellation.
+    Returns the state and the step's log-likelihood term.
+    """
+    A, Q = theta.A, theta.Q
     k = prev.k + 1
     m_pred = A @ prev.m
     P_pred = symmetrize(A @ prev.P @ A.T + Q)
-    H2 = H[1:]
-    v2 = y_k[1:] - H2 @ m_pred  # target innovation is zero by augmentation
-    if s_k is not None:
-        v2 = v2 - s_k
-    S2 = symmetrize(H2 @ P_pred @ H2.T + R[1:, 1:])
-    low2 = spd_cholesky(S2, "donor innovation covariance", step=k)
-    K2 = spd_solve(low2, H2 @ P_pred).T
-    m = m_pred + K2 @ v2
-    P = symmetrize(P_pred - K2 @ S2 @ K2.T)
-    return FilterState(k=k, m_pred=m_pred, P_pred=P_pred, m=m, P=P), v2, low2
+    y = y_k[obs.rows] if s_k is None else y_k[obs.rows] - s_k
+    vw = obs.whiten(y) - obs.Hw @ m_pred  # whitened innovation
+    L = psd_sqrt(P_pred)  # no gate here: the smoother gates P_pred
+    M = L.T @ obs.J @ L  # potrf reads only the lower triangle: no symmetrize needed
+    M.flat[:: M.shape[0] + 1] += 1.0
+    low = spd_cholesky(M, _INNOVATION, step=k)
+    # Whitened by R, S is I + Hw P_pred Hw': its spectrum is M's up to unit
+    # eigenvalues, so M's factor plus a unit diagonal gates S as a dense
+    # factor of S would be gated.
+    check_factor_diag(np.append(low.diagonal(), 1.0), _INNOVATION, step=k)
+    u = L.T @ (obs.Hw.T @ vw)
+    sol = spd_solve(low, np.column_stack([L.T, u]))  # M^-1 [L', u]
+    a = sol[:, -1]
+    delta = L @ a
+    P = symmetrize(L @ sol[:, :-1])
+    resid = vw - obs.Hw @ delta
+    loglik = -0.5 * (
+        vw.shape[0] * _LOG_2PI
+        + obs.logdet_R
+        + 2.0 * float(np.log(low.diagonal()).sum())
+        + float(resid @ resid + a @ a)
+    )
+    return FilterState(k=k, m_pred=m_pred, P_pred=P_pred, m=m_pred + delta, P=P), loglik
 
 
 def kalman_step(
@@ -193,7 +260,8 @@ def kalman_step(
     s_k: float | None = None,
 ) -> FilterState:
     """One forward update: predict from ``prev`` then condition on ``y_k``."""
-    state, _, _ = _step_full(np.asarray(y_k, dtype=float), prev, theta, s_k)
+    obs = _observed_rows(theta, False, step=prev.k + 1)
+    state, _ = _update(np.asarray(y_k, dtype=float), prev, theta, s_k, obs)
     return state
 
 
@@ -205,12 +273,13 @@ def kalman_step_missing_target(
 ) -> FilterState:
     """Forward update treating the target coordinate (row 0) of ``y_k`` as missing.
 
-    The target's observation-noise variance is sent to infinity: its stored
-    value is overwritten by the predicted value (zero innovation) and its gain
-    column is zero, which equals filtering the donor-only model with
-    H2 = H[1:] and R2 = R[1:, 1:].
+    The target's observation-noise variance is sent to infinity, so its row
+    carries no information: the update conditions on the donor rows alone,
+    which equals filtering the donor-only model with H2 = H[1:] and
+    R2 = R[1:, 1:].
     """
-    state, _, _ = _step_missing(np.asarray(y_k, dtype=float), prev, theta, s_k)
+    obs = _observed_rows(theta, True, step=prev.k + 1)
+    state, _ = _update(np.asarray(y_k, dtype=float), prev, theta, s_k, obs)
     return state
 
 
@@ -264,14 +333,14 @@ def _forward(
     states: list[FilterState] = []
     state = initial_state(theta)
     loglik = 0.0
+    prepared: dict[bool, _ObservedRows] = {}
     for j in range(k_total):
+        missing = j >= cut
+        if missing not in prepared:
+            prepared[missing] = _observed_rows(theta, missing, step=j + 1)
         s_j = None if s is None else float(s[j])
-        step = _step_full if j < cut else _step_missing
-        state, v, low = step(Y[:, j], state, theta, s_j)
-        alpha = spd_solve(low, v)
-        loglik += -0.5 * (
-            v.shape[0] * _LOG_2PI + 2.0 * np.log(np.diag(low)).sum() + float(v @ alpha)
-        )
+        state, ll = _update(Y[:, j], state, theta, s_j, prepared[missing])
+        loglik += ll
         states.append(state)
     return states, loglik
 

@@ -77,6 +77,33 @@ def condition_gaussian(mean, cov, obs_idx, obs_vals, query_idx):
     return mean_c, cov_c
 
 
+def _observed_coords(Y, ys, upto, missing_target_from):
+    """Joint-vector indices and values of the observed cells in columns 1..upto."""
+    idx, vals = [], []
+    for k in range(1, upto + 1):
+        sl = ys(k)
+        coords = list(range(sl.start, sl.stop))
+        if missing_target_from is not None and (k - 1) >= missing_target_from:
+            coords = coords[1:]  # drop the target coordinate
+            vals.extend(Y[1:, k - 1])
+        else:
+            vals.extend(Y[:, k - 1])
+        idx.extend(coords)
+    return np.array(idx, dtype=int), np.array(vals)
+
+
+def observed_log_density(theta, Y, seasonal=None, missing_target_from=None):
+    """Gaussian log-density of every observed cell of Y under the joint model."""
+    Y = np.asarray(Y, dtype=float)
+    mean, cov, _, ys = joint_gaussian(theta, Y.shape[1], seasonal)
+    idx, vals = _observed_coords(Y, ys, Y.shape[1], missing_target_from)
+    sob = cov[np.ix_(idx, idx)]
+    resid = vals - mean[idx]
+    _, logdet = np.linalg.slogdet(sob)
+    quad = float(resid @ np.linalg.solve(sob, resid))
+    return -0.5 * (idx.size * np.log(2.0 * np.pi) + logdet + quad)
+
+
 def conditioned_moments(theta, Y, seasonal=None, missing_target_from=None):
     """Filtered and smoothed state moments by direct joint-Gaussian conditioning.
 
@@ -92,17 +119,7 @@ def conditioned_moments(theta, Y, seasonal=None, missing_target_from=None):
     mean, cov, xs, ys = joint_gaussian(theta, k_total, seasonal)
 
     def obs_coords(upto):
-        idx, vals = [], []
-        for k in range(1, upto + 1):
-            sl = ys(k)
-            coords = list(range(sl.start, sl.stop))
-            if missing_target_from is not None and (k - 1) >= missing_target_from:
-                coords = coords[1:]  # drop the target coordinate
-                vals.extend(Y[1:, k - 1])
-            else:
-                vals.extend(Y[:, k - 1])
-            idx.extend(coords)
-        return np.array(idx, dtype=int), np.array(vals)
+        return _observed_coords(Y, ys, upto, missing_target_from)
 
     filt_means, filt_covs = [], []
     for k in range(1, k_total + 1):

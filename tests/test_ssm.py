@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasc import (
     ConfigError,
@@ -17,7 +19,7 @@ from tasc import (
     smooth_pass,
 )
 
-from oracles import conditioned_moments, random_theta
+from oracles import conditioned_moments, observed_log_density, random_theta
 
 
 def scalar_theta(A=1.0, H=1.0, Q=0.0, R=1.0, m0=0.0, P0=1.0):
@@ -275,6 +277,30 @@ class TestOracleEquivalence:
             for k in range(k_total + 1):
                 assert np.max(np.abs(smoothed.m_s[k] - sm[k])) <= 1e-8
                 assert np.max(np.abs(smoothed.P_s[k] - sc[k])) <= 1e-8
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_random_models_match_joint_gaussian(self, data):
+        # Moments and log-likelihood of the collapsed update against direct
+        # conditioning of the joint Gaussian, over diagonal and full R.
+        d = data.draw(st.integers(1, 3), label="d")
+        k_total = data.draw(st.integers(1, 6), label="K")
+        cut = data.draw(st.one_of(st.none(), st.integers(0, k_total)), label="cut")
+        min_n = 2 if cut is not None and cut < k_total else 1
+        n = data.draw(st.integers(min_n, 6), label="N")
+        diag_noise = data.draw(st.booleans(), label="diag_noise")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        theta = random_theta(rng, d, n, diag_noise=diag_noise)
+        Y = rng.standard_normal((n, k_total))
+
+        states = filter_pass(Y, theta, missing_target_from=cut)
+        fm, fc, _, _ = conditioned_moments(theta, Y, missing_target_from=cut)
+        for k, state in enumerate(states):
+            assert np.max(np.abs(state.m - fm[k])) <= 1e-8
+            assert np.max(np.abs(state.P - fc[k])) <= 1e-8
+        ll = log_likelihood(Y, theta, missing_target_from=cut)
+        ref = observed_log_density(theta, Y, missing_target_from=cut)
+        assert abs(ll - ref) <= 1e-9 * max(1.0, abs(ref))
 
     def test_smoothing_never_inflates_covariance(self):
         rng = np.random.default_rng(14)
