@@ -57,10 +57,16 @@ def spd_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def try_cholesky(m: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of ``m``, or None where the factorization fails; no gate."""
+    low, info = dpotrf(m, lower=1)
+    return low if info == 0 else None
+
+
 def ensure_spd(m: np.ndarray, what: str, jitter: float = 1e-9) -> np.ndarray:
     """Symmetrize and, only if a Cholesky check fails, add jitter on the diagonal."""
     m = symmetrize(m)
-    if dpotrf(m, lower=1)[1] == 0:
+    if try_cholesky(m) is not None:
         return m
     logger.warning("adding %.0e jitter to non-PD %s", jitter, what)
     return m + jitter * np.eye(m.shape[0])
@@ -68,8 +74,8 @@ def ensure_spd(m: np.ndarray, what: str, jitter: float = 1e-9) -> np.ndarray:
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """A square root L with L @ L.T = m, tolerating semidefinite input."""
-    low, info = dpotrf(m, lower=1)
-    if info == 0:
+    low = try_cholesky(m)
+    if low is not None:
         return low
     vals, vecs = np.linalg.eigh(symmetrize(m))
     return vecs * np.sqrt(np.clip(vals, 0.0, None))

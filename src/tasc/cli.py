@@ -33,7 +33,7 @@ from .evaluate import (
 )
 from .panel import PanelData, load_csv
 from .simulate import SimulationConfig, save_simulation, simulate
-from .ssm import params_to_json
+from .ssm import _params_doc
 
 _FAIL_CONFIG = 1
 _FAIL_NUMERIC = 2
@@ -171,7 +171,7 @@ def cmd_infer(args, argv: list[str]) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_table(rows, fieldnames, out, args.format, meta)
     if pred.theta is not None:
-        doc = json.loads(params_to_json(pred.theta, loglik_trace=pred.loglik_trace))
+        doc = _params_doc(pred.theta, loglik_trace=pred.loglik_trace)
         doc["meta"] = meta
         out.with_suffix(out.suffix + ".theta.json").write_text(json.dumps(doc, indent=2) + "\n")
     if pred.weights is not None:

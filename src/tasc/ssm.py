@@ -19,18 +19,42 @@ of its diagonal under ``diag_noise``) and J = H' R^-1 H formed in O(N d^2);
 each step then costs O(N d + d^3), plus O(N^2) to whiten the innovation when
 R is a full matrix.  A missing target is the same update conditioned on the
 donor rows ``1:``.
+
+Each step splits into a covariance half (P_pred, its factor, the factor of
+M = I + L' J L, P and log det M), which depends on theta alone, and a mean
+half, which depends on the data.  The forward pass filters each row set
+(all rows before ``missing_target_from``, donors after it) as one segment,
+whitening and projecting the segment's observations with one matrix product
+each rather than one per step.
+Within a segment, once a step's P_pred equals the previous step's bit for
+bit, every later covariance quantity is the same deterministic function of
+the same inputs: the recursion has reached its fixed point (the steady state
+of Durbin & Koopman, section 4.3.4), and the remaining steps reuse the same
+arrays and run only the mean update.  The reuse needs no tolerance and gives
+bitwise the results of recomputing; a recursion that ends in a last-ulp
+oscillation instead never compares equal and stays on the full path.  The
+smoother gates and reuses the filter's factor of P_pred, and repeats its gain
+and smoothed covariance wherever their inputs are the same arrays.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._numeric import check_factor_diag, min_eig, psd_sqrt, spd_cholesky, spd_solve, symmetrize
+from ._numeric import (
+    check_factor_diag,
+    min_eig,
+    psd_sqrt,
+    spd_cholesky,
+    spd_solve,
+    symmetrize,
+    try_cholesky,
+)
 from .errors import ConfigError, NumericalError
 
 __all__ = [
@@ -114,13 +138,20 @@ class StateSpaceParams:
 
 @dataclass(frozen=True)
 class FilterState:
-    """Predicted and filtered moments of the latent state at time index k."""
+    """Predicted and filtered moments of the latent state at time index k.
+
+    Once the covariance recursion is steady, consecutive states share their
+    ``P_pred`` and ``P`` arrays; treat the arrays as read-only.
+    """
 
     k: int
     m_pred: np.ndarray
     P_pred: np.ndarray
     m: np.ndarray
     P: np.ndarray
+    # Lower Cholesky factor of P_pred when it has one, as the filter computed
+    # it; the smoother gates and reuses it instead of factoring P_pred again.
+    low_pred: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -176,12 +207,14 @@ class _ObservedRows:
     low_R: np.ndarray | None  # C otherwise
 
     def whiten(self, v: np.ndarray) -> np.ndarray:
+        """Whiten the columns of ``v``, one observation per column."""
         if self.inv_sd is not None:
-            return self.inv_sd * v
+            return self.inv_sd[:, None] * v
         return solve_triangular(self.low_R, v, lower=True, check_finite=False)
 
 
 _INNOVATION = "innovation covariance S"
+_PREDICTION = "one-step prediction covariance"
 
 
 def _observed_rows(theta: StateSpaceParams, target_missing: bool, step: int) -> _ObservedRows:
@@ -212,45 +245,74 @@ def _observed_rows(theta: StateSpaceParams, target_missing: bool, step: int) -> 
     return _ObservedRows(rows=rows, Hw=Hw, J=J, logdet_R=logdet_R, inv_sd=inv_sd, low_R=low_R)
 
 
-def _update(y_k, prev, theta, s_k, obs: _ObservedRows) -> tuple[FilterState, float]:
-    """Predict from ``prev``, then condition on the rows of ``obs``.
+def _filter_rows(
+    Y: np.ndarray,
+    s: np.ndarray | None,
+    prev: FilterState,
+    theta: StateSpaceParams,
+    obs: _ObservedRows,
+) -> tuple[list[FilterState], float]:
+    """Filter the columns of ``Y`` from ``prev``, conditioning each on the rows of ``obs``.
 
-    Information form: with P_pred = L L' and M = I + L' J L (d x d),
+    ``s`` holds one seasonal offset per column, or is None.  Information form:
+    with P_pred = L L' and M = I + L' J L (d x d),
 
-        P = L M^-1 L',   m = m_pred + L a,   a = M^-1 L' Hw' vw,
+        P = L W,   m = m_pred + L a,   W = M^-1 L',   a = W (z - J m_pred),
 
-    where vw is the whitened innovation.  By Woodbury and the determinant
+    where z = Hw' yw is the whitened observation projected on the state.  The
+    covariance half (P_pred, L, M's factor, W, P, log det M) depends on theta
+    alone; once a step's P_pred equals the previous one bitwise, every later
+    covariance quantity would repeat too, so the remaining steps reuse the same
+    arrays and run only the mean update.  By Woodbury and the determinant
     lemma log det S = log det R + log det M, and v' S^-1 v equals
-    |vw - Hw L a|^2 + |a|^2, a sum of squares free of cancellation.
-    Returns the state and the step's log-likelihood term.
+    |vw - Hw L a|^2 + |a|^2 for the whitened innovation vw, a sum of squares
+    free of cancellation.  Returns the states and their log-likelihood.
     """
-    A, Q = theta.A, theta.Q
-    k = prev.k + 1
-    m_pred = A @ prev.m
-    P_pred = symmetrize(A @ prev.P @ A.T + Q)
-    y = y_k[obs.rows] if s_k is None else y_k[obs.rows] - s_k
-    vw = obs.whiten(y) - obs.Hw @ m_pred  # whitened innovation
-    L = psd_sqrt(P_pred)  # no gate here: the smoother gates P_pred
-    M = L.T @ obs.J @ L  # potrf reads only the lower triangle: no symmetrize needed
-    M.flat[:: M.shape[0] + 1] += 1.0
-    low = spd_cholesky(M, _INNOVATION, step=k)
-    # Whitened by R, S is I + Hw P_pred Hw': its spectrum is M's up to unit
-    # eigenvalues, so M's factor plus a unit diagonal gates S as a dense
-    # factor of S would be gated.
-    check_factor_diag(np.append(low.diagonal(), 1.0), _INNOVATION, step=k)
-    u = L.T @ (obs.Hw.T @ vw)
-    sol = spd_solve(low, np.column_stack([L.T, u]))  # M^-1 [L', u]
-    a = sol[:, -1]
-    delta = L @ a
-    P = symmetrize(L @ sol[:, :-1])
-    resid = vw - obs.Hw @ delta
+    A, Q, J, Hw = theta.A, theta.Q, obs.J, obs.Hw
+    Yw = obs.whiten(Y[obs.rows] if s is None else Y[obs.rows] - s)
+    Z = Yw.T @ Hw  # row j is z for column j
+    states: list[FilterState] = []
+    a_all, delta_all = [], []
+    logdet_M = 0.0
+    m, P, P_pred = prev.m, prev.P, None
+    steady = False
+    for j in range(Y.shape[1]):
+        k = prev.k + 1 + j
+        m_pred = A @ m
+        if not steady:
+            P_new = symmetrize(A @ P @ A.T + Q)
+            steady = P_pred is not None and np.array_equal(P_new, P_pred)
+        if not steady:
+            P_pred = P_new
+            low_pred = try_cholesky(P_pred)  # no gate here: the smoother gates P_pred
+            L = psd_sqrt(P_pred) if low_pred is None else low_pred
+            M = L.T @ J @ L  # potrf reads only the lower triangle: no symmetrize needed
+            M.flat[:: M.shape[0] + 1] += 1.0
+            low = spd_cholesky(M, _INNOVATION, step=k)
+            # Whitened by R, S is I + Hw P_pred Hw': its spectrum is M's up to
+            # unit eigenvalues, so M's factor plus a unit diagonal gates S as a
+            # dense factor of S would be gated.
+            check_factor_diag(np.append(low.diagonal(), 1.0), _INNOVATION, step=k)
+            W = spd_solve(low, L.T)
+            P = symmetrize(L @ W)
+            logdet_step = 2.0 * float(np.log(low.diagonal()).sum())
+        logdet_M += logdet_step
+        a = W @ (Z[j] - J @ m_pred)
+        delta = L @ a
+        m = m_pred + delta
+        states.append(FilterState(k=k, m_pred=m_pred, P_pred=P_pred, m=m, P=P, low_pred=low_pred))
+        a_all.append(a)
+        delta_all.append(delta)
+    m_preds = np.array([state.m_pred for state in states])
+    resid = (Yw - Hw @ m_preds.T) - Hw @ np.array(delta_all).T
+    a_arr = np.array(a_all)
+    n_rows, n_cols = Yw.shape
     loglik = -0.5 * (
-        vw.shape[0] * _LOG_2PI
-        + obs.logdet_R
-        + 2.0 * float(np.log(low.diagonal()).sum())
-        + float(resid @ resid + a @ a)
+        n_cols * (n_rows * _LOG_2PI + obs.logdet_R)
+        + logdet_M
+        + float(np.vdot(resid, resid) + np.vdot(a_arr, a_arr))
     )
-    return FilterState(k=k, m_pred=m_pred, P_pred=P_pred, m=m_pred + delta, P=P), loglik
+    return states, loglik
 
 
 def kalman_step(
@@ -260,9 +322,7 @@ def kalman_step(
     s_k: float | None = None,
 ) -> FilterState:
     """One forward update: predict from ``prev`` then condition on ``y_k``."""
-    obs = _observed_rows(theta, False, step=prev.k + 1)
-    state, _ = _update(np.asarray(y_k, dtype=float), prev, theta, s_k, obs)
-    return state
+    return _single_step(y_k, prev, theta, s_k, target_missing=False)
 
 
 def kalman_step_missing_target(
@@ -278,9 +338,14 @@ def kalman_step_missing_target(
     which equals filtering the donor-only model with H2 = H[1:] and
     R2 = R[1:, 1:].
     """
-    obs = _observed_rows(theta, True, step=prev.k + 1)
-    state, _ = _update(np.asarray(y_k, dtype=float), prev, theta, s_k, obs)
-    return state
+    return _single_step(y_k, prev, theta, s_k, target_missing=True)
+
+
+def _single_step(y_k, prev, theta, s_k, target_missing: bool) -> FilterState:
+    obs = _observed_rows(theta, target_missing, step=prev.k + 1)
+    y = np.asarray(y_k, dtype=float)[:, None]
+    states, _ = _filter_rows(y, None if s_k is None else np.array([s_k], dtype=float), prev, theta, obs)
+    return states[0]
 
 
 def rts_step(
@@ -290,15 +355,11 @@ def rts_step(
     theta: StateSpaceParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One backward smoothing update; returns (m_s, P_s, G) at index k."""
-    A, Q = theta.A, theta.Q
-    m_k, P_k = filtered_k.m, filtered_k.P
-    m_pred = A @ m_k
-    P_pred = symmetrize(A @ P_k @ A.T + Q)
-    low = spd_cholesky(P_pred, "one-step prediction covariance", step=filtered_k.k)
-    G = spd_solve(low, A @ P_k).T  # G = P_k A^T P_pred^{-1}
-    m_s = m_k + G @ (m_s_next - m_pred)
-    P_s = symmetrize(P_k + G @ (P_s_next - P_pred) @ G.T)
-    return m_s, P_s, G
+    A = theta.A
+    P_pred = symmetrize(A @ filtered_k.P @ A.T + theta.Q)
+    nxt = FilterState(filtered_k.k + 1, A @ filtered_k.m, P_pred, m_s_next, P_s_next)
+    smoothed = _smooth([filtered_k, nxt], theta)
+    return smoothed.m_s[0], smoothed.P_s[0], smoothed.G[0]
 
 
 def _seasonal_array(seasonal, k_total: int) -> np.ndarray | None:
@@ -319,7 +380,9 @@ def _forward(
     """Forward pass returning filtered states and the innovation log-likelihood.
 
     At missing-target steps only the donor block contributes to the likelihood
-    (the target coordinate has no finite-noise model there).
+    (the target coordinate has no finite-noise model there).  Each row set is
+    filtered as one segment: the covariance recursion restarts where the row
+    set changes.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] < 1:
@@ -328,20 +391,20 @@ def _forward(
         raise ConfigError(f"Y has {Y.shape[0]} rows but H has {theta.n_obs}")
     k_total = Y.shape[1]
     s = _seasonal_array(seasonal, k_total)
-    cut = k_total if missing_target_from is None else max(0, missing_target_from)
+    cut = k_total if missing_target_from is None else min(max(0, missing_target_from), k_total)
 
     states: list[FilterState] = []
     state = initial_state(theta)
     loglik = 0.0
-    prepared: dict[bool, _ObservedRows] = {}
-    for j in range(k_total):
-        missing = j >= cut
-        if missing not in prepared:
-            prepared[missing] = _observed_rows(theta, missing, step=j + 1)
-        s_j = None if s is None else float(s[j])
-        state, ll = _update(Y[:, j], state, theta, s_j, prepared[missing])
+    for start, stop, missing in ((0, cut, False), (cut, k_total, True)):
+        if start == stop:
+            continue
+        obs = _observed_rows(theta, missing, step=start + 1)
+        seg_s = None if s is None else s[start:stop]
+        segment, ll = _filter_rows(Y[:, start:stop], seg_s, state, theta, obs)
+        states += segment
         loglik += ll
-        states.append(state)
+        state = segment[-1]
     return states, loglik
 
 
@@ -364,22 +427,44 @@ def smooth_pass(filtered: list[FilterState], theta: StateSpaceParams) -> Smoothe
     """Backward RTS recursion over a filtered trajectory, including index 0."""
     if not filtered:
         raise ConfigError("smooth_pass needs a nonempty filtered trajectory")
-    k_total = len(filtered)
-    d = theta.d
-    m_s = np.zeros((k_total + 1, d))
-    P_s = np.zeros((k_total + 1, d, d))
-    G = np.zeros((k_total, d, d))
+    return _smooth([initial_state(theta), *filtered], theta)
 
-    m_s[k_total] = filtered[-1].m
-    P_s[k_total] = filtered[-1].P
-    states = [initial_state(theta)] + list(filtered)
+
+def _smooth(states: list[FilterState], theta: StateSpaceParams) -> SmoothedTrajectory:
+    """Backward RTS recursion over ``states``; the last one is kept as filtered.
+
+    The gain G_k = P_k A' P_pred_{k+1}^-1 uses the prediction, and its factor,
+    that the filter already computed, gated here.  Where the filter reached its
+    fixed point, consecutive states share their P and P_pred arrays: G_k then
+    repeats G_{k+1}, and P_s_k repeats P_s_{k+1} once that equals P_s_{k+2}
+    bitwise, since every input of the update is the same.
+    """
+    A = theta.A
+    k_total = len(states) - 1
+    m_s = np.zeros((k_total + 1, theta.d))
+    P_s = np.zeros((k_total + 1, theta.d, theta.d))
+    G = np.zeros((k_total, theta.d, theta.d))
+    m_s[k_total] = states[-1].m
+    P_s[k_total] = states[-1].P
+    steady = False  # P_s_{k+1} equals P_s_{k+2}
     for k in range(k_total - 1, -1, -1):
-        # The filter already computed the prediction from state k to k+1; reuse it.
-        nxt = states[k + 1]
-        low = spd_cholesky(nxt.P_pred, "one-step prediction covariance", step=k)
-        G[k] = spd_solve(low, theta.A @ states[k].P).T
-        m_s[k] = states[k].m + G[k] @ (m_s[k + 1] - nxt.m_pred)
-        P_s[k] = symmetrize(states[k].P + G[k] @ (P_s[k + 1] - nxt.P_pred) @ G[k].T)
+        cur, nxt = states[k], states[k + 1]
+        repeat = k + 2 <= k_total and cur.P is nxt.P and nxt.P_pred is states[k + 2].P_pred
+        if repeat:
+            G[k] = G[k + 1]
+        else:
+            low = nxt.low_pred
+            if low is None:
+                low = spd_cholesky(nxt.P_pred, _PREDICTION, step=cur.k)
+            else:
+                check_factor_diag(low.diagonal(), _PREDICTION, step=cur.k)
+            G[k] = spd_solve(low, A @ cur.P).T
+        m_s[k] = cur.m + G[k] @ (m_s[k + 1] - nxt.m_pred)
+        steady = repeat and (steady or np.array_equal(P_s[k + 1], P_s[k + 2]))
+        if steady:
+            P_s[k] = P_s[k + 1]
+        else:
+            P_s[k] = symmetrize(cur.P + G[k] @ (P_s[k + 1] - nxt.P_pred) @ G[k].T)
     return SmoothedTrajectory(m_s=m_s, P_s=P_s, G=G)
 
 
@@ -400,6 +485,14 @@ def params_to_json(
     dest: str | Path | None = None,
 ) -> str:
     """Serialize parameters as a JSON document (lossless float round trip)."""
+    text = json.dumps(_params_doc(theta, loglik_trace), indent=2)
+    if dest is not None:
+        Path(dest).write_text(text + "\n")
+    return text
+
+
+def _params_doc(theta: StateSpaceParams, loglik_trace: list[float] | None = None) -> dict:
+    """The JSON object :func:`params_to_json` writes, before encoding."""
     doc = {
         "d": theta.d,
         "n_obs": theta.n_obs,
@@ -413,10 +506,7 @@ def params_to_json(
     }
     if loglik_trace is not None:
         doc["loglik_trace"] = [float(x) for x in loglik_trace]
-    text = json.dumps(doc, indent=2)
-    if dest is not None:
-        Path(dest).write_text(text + "\n")
-    return text
+    return doc
 
 
 def params_from_json(source: str | Path) -> StateSpaceParams:

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tasc import PanelData, save_csv
+from tasc import PanelData, fit_predict, params_from_json, save_csv
+from tasc import cli
 from tasc.cli import main
 
 
@@ -33,9 +34,16 @@ def read_csv_rows(path):
 
 
 class TestInfer:
-    def test_tasc_writes_path_with_intervals_and_theta(self, toy_panel_csv, tmp_path):
+    def test_tasc_writes_path_with_intervals_and_theta(self, toy_panel_csv, tmp_path, monkeypatch):
         path, t0 = toy_panel_csv
         out = tmp_path / "out.csv"
+        fits = []
+
+        def recording_fit_predict(*args, **kwargs):
+            fits.append(fit_predict(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(cli, "fit_predict", recording_fit_predict)
         code = main([
             "infer", "--input", str(path), "--t0", str(t0), "--method", "tasc",
             "--d", "1", "--n1", "40", "--output", str(out), "--seed", "0",
@@ -47,6 +55,12 @@ class TestInfer:
         theta_doc = json.loads(out.with_suffix(".csv.theta.json").read_text())
         assert theta_doc["d"] == 1
         assert theta_doc["meta"]["seed"] == 0
+        written = params_from_json(out.with_suffix(".csv.theta.json"))
+        (fitted,) = fits
+        for name in ("A", "H", "Q", "R", "m0", "P0"):
+            assert np.array_equal(getattr(written, name), getattr(fitted.theta, name))
+        assert written.diag_noise == fitted.theta.diag_noise
+        assert theta_doc["loglik_trace"] == fitted.loglik_trace
 
     def test_sc_vertex_weights_on_identical_donor(self, toy_panel_csv, tmp_path):
         path, t0 = toy_panel_csv

@@ -190,14 +190,20 @@ class TestRtsStep:
 
 
 class TestFilterPass:
-    def test_single_column_matches_single_step(self):
+    @pytest.mark.parametrize(
+        "step, missing_target_from",
+        [(kalman_step, None), (kalman_step_missing_target, 0)],
+        ids=["full", "missing_target"],
+    )
+    def test_single_column_matches_single_step(self, step, missing_target_from):
         rng = np.random.default_rng(7)
         theta = random_theta(rng, 2, 3)
         y = rng.standard_normal((3, 1))
-        states = filter_pass(y, theta)
-        single = kalman_step(y[:, 0], initial_state(theta), theta)
+        states = filter_pass(y, theta, missing_target_from=missing_target_from)
+        single = step(y[:, 0], initial_state(theta), theta)
         assert len(states) == 1
         assert np.array_equal(states[0].m, single.m)
+        assert np.array_equal(states[0].P, single.P)
 
     def test_output_indices_monotone(self):
         rng = np.random.default_rng(8)
@@ -298,6 +304,37 @@ class TestOracleEquivalence:
         for k, state in enumerate(states):
             assert np.max(np.abs(state.m - fm[k])) <= 1e-8
             assert np.max(np.abs(state.P - fc[k])) <= 1e-8
+        ll = log_likelihood(Y, theta, missing_target_from=cut)
+        ref = observed_log_density(theta, Y, missing_target_from=cut)
+        assert abs(ll - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("cut", [None, 25], ids=["observed", "missing_from_25"])
+    @pytest.mark.parametrize("diag_noise", [False, True], ids=["full_R", "diag_R"])
+    def test_long_horizon_fixed_point_matches_joint_gaussian(self, diag_noise, cut):
+        # K = 50 steps: the covariance recursion reaches its bitwise fixed
+        # point in every row-set segment, so most steps take the reuse path.
+        rng = np.random.default_rng(0)
+        k_total = 50
+        theta = random_theta(rng, 2, 4, diag_noise=diag_noise)
+        Y = rng.standard_normal((4, k_total))
+        states = filter_pass(Y, theta, missing_target_from=cut)
+        smoothed = smooth_pass(states, theta)
+
+        # Reuse shows as consecutive states sharing one P array; once it starts,
+        # it lasts to the end of the segment.
+        reused = [k for k in range(1, k_total) if states[k].P is states[k - 1].P]
+        for start, stop in ((0, k_total),) if cut is None else ((0, cut), (cut, k_total)):
+            first = min(k for k in reused if start < k < stop)
+            assert all(k in reused for k in range(first, stop))
+        assert any(np.array_equal(smoothed.P_s[k], smoothed.P_s[k + 1]) for k in range(k_total))
+
+        fm, fc, sm, sc = conditioned_moments(theta, Y, missing_target_from=cut)
+        for k, state in enumerate(states):
+            assert np.max(np.abs(state.m - fm[k])) <= 1e-8
+            assert np.max(np.abs(state.P - fc[k])) <= 1e-8
+        for k in range(k_total + 1):
+            assert np.max(np.abs(smoothed.m_s[k] - sm[k])) <= 1e-8
+            assert np.max(np.abs(smoothed.P_s[k] - sc[k])) <= 1e-8
         ll = log_likelihood(Y, theta, missing_target_from=cut)
         ref = observed_log_density(theta, Y, missing_target_from=cut)
         assert abs(ll - ref) <= 1e-9 * max(1.0, abs(ref))
