@@ -1,9 +1,11 @@
-"""Small linear-algebra and seeding helpers used across modules."""
+"""Small linear-algebra, seeding and artifact-reading helpers used across modules."""
 
 from __future__ import annotations
 
+import json
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -89,3 +91,10 @@ def derive_seed(*parts: int) -> int:
     """Counter-style derivation of an independent child seed from integer parts."""
     seq = np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in parts])
     return int(seq.generate_state(1, np.uint64)[0])
+
+
+def read_json(source: str | Path) -> dict:
+    """Parse a JSON artifact given as a path, or as the JSON text itself (a string starting with '{')."""
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        return json.loads(source)
+    return json.loads(Path(source).read_text())

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._numeric import COND_LIMIT
+from ._numeric import COND_LIMIT, read_json
 from .errors import ConfigError, SolverError
 from .panel import PanelData
 
@@ -256,26 +256,24 @@ def rsc_predict(weights: DonorWeights, denoised_post: np.ndarray) -> np.ndarray:
 
 
 def weights_to_json(weights: DonorWeights, dest: str | Path | None = None) -> str:
-    doc = {
-        "kind": weights.kind,
-        "f": weights.f.tolist(),
-        "lambda": weights.lambda_,
-        "d": weights.d,
-    }
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(_weights_doc(weights), indent=2)
     if dest is not None:
         Path(dest).write_text(text + "\n")
     return text
 
 
+def _weights_doc(weights: DonorWeights) -> dict:
+    """The JSON object :func:`weights_to_json` writes, before encoding."""
+    return {
+        "kind": weights.kind,
+        "f": weights.f.tolist(),
+        "lambda": weights.lambda_,
+        "d": weights.d,
+    }
+
+
 def weights_from_json(source: str | Path) -> DonorWeights:
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
-    else:
-        text = Path(source).read_text()
-    doc = json.loads(text)
+    doc = read_json(source)
     return DonorWeights(
         f=np.array(doc["f"], dtype=float),
         kind=doc["kind"],

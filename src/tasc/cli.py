@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import DEFAULT_CV_GRID, RscConfig, weights_to_json
+from .baselines import DEFAULT_CV_GRID, RscConfig, _weights_doc
 from .engine import EmConfig
 from .errors import ConfigError, FitError, NumericalError, ParseError, SolverError
 from .evaluate import (
@@ -175,7 +175,7 @@ def cmd_infer(args, argv: list[str]) -> int:
         doc["meta"] = meta
         out.with_suffix(out.suffix + ".theta.json").write_text(json.dumps(doc, indent=2) + "\n")
     if pred.weights is not None:
-        doc = json.loads(weights_to_json(pred.weights))
+        doc = _weights_doc(pred.weights)
         doc["meta"] = meta
         out.with_suffix(out.suffix + ".weights.json").write_text(json.dumps(doc, indent=2) + "\n")
     return 0

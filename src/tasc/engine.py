@@ -90,13 +90,20 @@ class SufficientStats:
     ``sigma``/``phi`` are the current/lagged state moments, ``b`` the
     observation-state cross moment, ``c`` the lag-one state cross moment, and
     ``d`` the observation outer-product moment, each averaged over k = 1..K.
+    ``Y`` is the offset-free N x K data, kept by reference; ``d`` is formed
+    from it on access, because the diagonal-noise M-step needs only its
+    diagonal.
     """
 
     sigma: np.ndarray
     phi: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    d: np.ndarray
+    Y: np.ndarray
+
+    @property
+    def d(self) -> np.ndarray:
+        return symmetrize((self.Y @ self.Y.T) / self.Y.shape[1])
 
 
 @dataclass(frozen=True)
@@ -184,8 +191,7 @@ def accumulate_stats(smoothed: SmoothedTrajectory, Y: np.ndarray) -> SufficientS
     # Lag-one smoothed cross covariance is P_k^s G_{k-1}^T.
     cross = np.einsum("kij,klj->kil", Ps[1:], G) + np.einsum("ki,kj->kij", ms[1:], ms[:-1])
     c = cross.mean(axis=0)
-    d_mat = (Y @ Y.T) / k_total
-    return SufficientStats(sigma=symmetrize(sigma), phi=symmetrize(phi), b=b, c=c, d=symmetrize(d_mat))
+    return SufficientStats(sigma=symmetrize(sigma), phi=symmetrize(phi), b=b, c=c, Y=Y)
 
 
 def _spd_inverse_factor(m: np.ndarray, what: str) -> np.ndarray:
@@ -218,11 +224,19 @@ def m_step(
     H_new = stats.b @ sigma_inv
 
     q_full = stats.sigma - 2.0 * stats.c @ A_new.T + A_new @ stats.phi @ A_new.T
-    r_full = stats.d - 2.0 * stats.b @ H_new.T + H_new @ stats.sigma @ H_new.T
     if diag_noise:
+        # Only R's diagonal is kept, so it is formed row by row in O(NK + Nd^2)
+        # rather than from the N x N moment d.
+        Y = stats.Y
+        r_diag = (
+            np.einsum("ik,ik->i", Y, Y) / Y.shape[1]
+            - 2.0 * np.einsum("ij,ij->i", stats.b, H_new)
+            + np.einsum("ij,ij->i", H_new @ stats.sigma, H_new)
+        )
         Q_new = np.diag(np.maximum(np.diag(q_full), _NOISE_FLOOR))
-        R_new = np.diag(np.maximum(np.diag(r_full), _NOISE_FLOOR))
+        R_new = np.diag(np.maximum(r_diag, _NOISE_FLOOR))
     else:
+        r_full = stats.d - 2.0 * stats.b @ H_new.T + H_new @ stats.sigma @ H_new.T
         Q_new = _floor_spectrum(symmetrize(q_full))
         R_new = _floor_spectrum(symmetrize(r_full))
 

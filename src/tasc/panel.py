@@ -190,16 +190,21 @@ def load_csv(
     if not 1 <= t0 < t:
         raise ConfigError(f"t0={t0} out of range for {t} time periods")
 
-    values = np.empty((n, t))
-    missing = np.zeros((n, t), dtype=bool)
-    for i, row in enumerate(numeric_rows):
-        for j, cell in enumerate(row):
-            text = cell.strip()
-            if text == "":
-                missing[i, j] = True
-                values[i, j] = np.nan
-            else:
-                values[i, j] = _parse_cell(text, i, j)
+    # One numpy conversion parses every cell with Python's float(); the
+    # per-cell loop runs only to raise the first bad cell's error (row-major).
+    texts = [[cell.strip() for cell in row] for row in numeric_rows]
+    missing = np.array([[not text for text in row] for row in texts], dtype=bool)
+    try:
+        values = np.array([[text or "nan" for text in row] for row in texts], dtype=float)
+        parsed = bool(np.isfinite(values[~missing]).all())
+    except ValueError:
+        parsed = False
+    if not parsed:
+        values = np.full((n, t), np.nan)
+        for i, row in enumerate(texts):
+            for j, text in enumerate(row):
+                if text:
+                    values[i, j] = _parse_cell(text, i, j)
 
     target_post_missing = False
     if missing.any():

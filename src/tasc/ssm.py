@@ -50,6 +50,7 @@ from ._numeric import (
     check_factor_diag,
     min_eig,
     psd_sqrt,
+    read_json,
     spd_cholesky,
     spd_solve,
     symmetrize,
@@ -484,7 +485,10 @@ def params_to_json(
     loglik_trace: list[float] | None = None,
     dest: str | Path | None = None,
 ) -> str:
-    """Serialize parameters as a JSON document (lossless float round trip)."""
+    """Serialize parameters as a JSON document (lossless float round trip).
+
+    Under ``diag_noise`` R is written as its length-N diagonal.
+    """
     text = json.dumps(_params_doc(theta, loglik_trace), indent=2)
     if dest is not None:
         Path(dest).write_text(text + "\n")
@@ -500,7 +504,7 @@ def _params_doc(theta: StateSpaceParams, loglik_trace: list[float] | None = None
         "A": theta.A.tolist(),
         "H": theta.H.tolist(),
         "Q": theta.Q.tolist(),
-        "R": theta.R.tolist(),
+        "R": (np.diag(theta.R) if theta.diag_noise else theta.R).tolist(),
         "m0": theta.m0.tolist(),
         "P0": theta.P0.tolist(),
     }
@@ -510,19 +514,18 @@ def _params_doc(theta: StateSpaceParams, loglik_trace: list[float] | None = None
 
 
 def params_from_json(source: str | Path) -> StateSpaceParams:
-    """Inverse of :func:`params_to_json`; accepts a path or a JSON string."""
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
-    else:
-        text = Path(source).read_text()
-    doc = json.loads(text)
+    """Inverse of :func:`params_to_json`; accepts a path or a JSON string.
+
+    ``R`` may be a length-N diagonal or a full N x N matrix, so files written
+    with either layout load.
+    """
+    doc = read_json(source)
+    R = np.array(doc["R"], dtype=float)
     return StateSpaceParams(
         A=np.array(doc["A"], dtype=float),
         H=np.array(doc["H"], dtype=float),
         Q=np.array(doc["Q"], dtype=float),
-        R=np.array(doc["R"], dtype=float),
+        R=np.diag(R) if R.ndim == 1 else R,
         m0=np.array(doc["m0"], dtype=float),
         P0=np.array(doc["P0"], dtype=float),
         diag_noise=bool(doc.get("diag_noise", True)),

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tasc import PanelData, fit_predict, params_from_json, save_csv
+from tasc import PanelData, fit_predict, params_from_json, save_csv, weights_from_json, weights_to_json
 from tasc import cli
 from tasc.cli import main
 
@@ -60,19 +60,36 @@ class TestInfer:
         for name in ("A", "H", "Q", "R", "m0", "P0"):
             assert np.array_equal(getattr(written, name), getattr(fitted.theta, name))
         assert written.diag_noise == fitted.theta.diag_noise
+        assert theta_doc["R"] == np.diag(fitted.theta.R).tolist()  # diag_noise: R as its diagonal
         assert theta_doc["loglik_trace"] == fitted.loglik_trace
 
-    def test_sc_vertex_weights_on_identical_donor(self, toy_panel_csv, tmp_path):
+    def test_sc_vertex_weights_on_identical_donor(self, toy_panel_csv, tmp_path, monkeypatch):
         path, t0 = toy_panel_csv
         out = tmp_path / "sc.csv"
+        fits = []
+
+        def recording_fit_predict(*args, **kwargs):
+            fits.append(fit_predict(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(cli, "fit_predict", recording_fit_predict)
         code = main([
             "infer", "--input", str(path), "--t0", str(t0), "--method", "sc",
             "--output", str(out), "--seed", "0",
         ])
         assert code == 0
-        weights = json.loads(out.with_suffix(".csv.weights.json").read_text())
+        weights_path = out.with_suffix(".csv.weights.json")
+        weights = json.loads(weights_path.read_text())
         assert weights["kind"] == "simplex"
         assert weights["f"][0] >= 0.999
+        (fitted,) = fits
+        assert weights.pop("meta")["seed"] == 0
+        assert json.dumps(weights, indent=2) == weights_to_json(fitted.weights)
+        written = weights_from_json(weights_path)
+        assert np.array_equal(written.f, fitted.weights.f)
+        assert (written.kind, written.lambda_, written.d) == (
+            fitted.weights.kind, fitted.weights.lambda_, fitted.weights.d
+        )
 
     def test_missing_input_exits_1_without_output(self, tmp_path):
         out = tmp_path / "never.csv"

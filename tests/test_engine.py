@@ -110,6 +110,20 @@ class TestAccumulateStats:
         assert np.allclose(s2.b, 2.0 * s1.b)
         assert np.allclose(s2.d, 4.0 * s1.d)
 
+    def test_observation_moment_is_data_outer_product(self):
+        rng = np.random.default_rng(9)
+        k = 7
+        smoothed = SmoothedTrajectory(
+            m_s=rng.standard_normal((k + 1, 2)),
+            P_s=np.tile(np.eye(2), (k + 1, 1, 1)),
+            G=rng.standard_normal((k, 2, 2)),
+        )
+        Y = rng.standard_normal((5, k))
+        stats = accumulate_stats(smoothed, Y)
+        assert stats.Y is Y
+        d = (Y @ Y.T) / k
+        assert np.array_equal(stats.d, 0.5 * (d + d.T))
+
 
 class TestMStep:
     def test_scalar_hand_example(self):
@@ -160,6 +174,26 @@ class TestMStep:
         new = m_step(stats, theta, smoothed.m_s[0], smoothed.P_s[0], diag_noise=True)
         assert np.array_equal(new.Q, np.diag(np.diag(new.Q)))
         assert np.array_equal(new.R, np.diag(np.diag(new.R)))
+
+    def test_diagonal_r_matches_full_formula(self):
+        # The diagonal-noise update forms R' row by row; it must equal the
+        # diagonal of d - 2 b H'^T + H' Sigma H'^T.
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(d, 9))
+            k = int(rng.integers(d + 2, 15))
+            theta = random_theta(rng, d, n, diag_noise=True)
+            Y = rng.standard_normal((n, k)) * rng.uniform(0.5, 3.0, size=(n, 1))
+            smoothed = smooth_pass(filter_pass(Y, theta), theta)
+            stats = accumulate_stats(smoothed, Y)
+            new = m_step(stats, theta, smoothed.m_s[0], smoothed.P_s[0])
+            H = new.H
+            full = np.diag(stats.d - 2.0 * stats.b @ H.T + H @ stats.sigma @ H.T)
+            assert np.all(full > 1e-10)  # the floor is not active
+            r = np.diag(new.R)
+            assert np.max(np.abs(r - full) / full) <= 1e-12
+            assert np.array_equal(new.R, np.diag(r))
 
     def test_stationarity_of_update(self):
         # Finite-difference gradient of the Q-function vanishes at the

@@ -111,6 +111,61 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(io.StringIO(text), t0=2)
 
+    def test_cells_parse_bitwise_as_python_float(self):
+        cells = [
+            " 1.5 ", "\t2e-3", "1_000.5", "-0", "-0.0", "+1E+5", ".5", "5.",
+            "1e-320", "١٢٣", "１２.５", "0.1", "-7", "3.141592653589793",
+        ]
+        text = "\n".join([",".join(cells), ",".join(reversed(cells))]) + "\n"
+        panel = load_csv(io.StringIO(text), t0=2, has_header=False)
+        expected = np.array([[float(c.strip()) for c in cells], [float(c.strip()) for c in reversed(cells)]])
+        assert panel.values.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_blank_target_post_cell_sets_flag_and_keeps_values(self):
+        text = CSV_3X4.replace("target,1.0,2.0,3.0,4.0", "target,1.0,2.0,  ,4.0")
+        panel = load_csv(io.StringIO(text), t0=2)
+        assert panel.target_post_missing
+        assert np.isnan(panel.values[0, 2])
+        assert panel.values[0].tolist()[:2] == [1.0, 2.0] and panel.values[0, 3] == 4.0
+        assert panel.values[1:].tolist() == [[0.5, 1.5, 2.5, 3.5], [2.0, 2.0, 2.0, 2.0]]
+
+    @pytest.mark.parametrize(
+        ("replace", "message", "row"),
+        [
+            (("donorA,0.5", "donorA,oops"), "non-numeric cell 'oops' at row 1, column 0", 1),
+            (("donorB,2.0,2.0,2.0,2.0", "donorB,2.0,2.0,2.0,x"), "non-numeric cell 'x' at row 2, column 3", 2),
+            (("donorA,0.5", "donorA,nan"), "non-finite cell 'nan' at row 1, column 0", 1),
+            (("donorB,2.0,2.0", "donorB,2.0,-inf"), "non-finite cell '-inf' at row 2, column 1", 2),
+            (("donorB,2.0,2.0", "donorB,2.0,1e999"), "non-finite cell '1e999' at row 2, column 1", 2),
+            (("target,1.0", "target, nan "), "non-finite cell 'nan' at row 0, column 0", 0),
+            (("donorA,0.5", "donorA,"), "empty cell at row 1, column 0 outside target post period", 1),
+            (("target,1.0", "target,"), "empty cell at row 0, column 0 outside target post period", 0),
+        ],
+    )
+    def test_parse_errors_keep_text_and_row(self, replace, message, row):
+        text = CSV_3X4.replace(*replace)
+        with pytest.raises(ParseError) as err:
+            load_csv(io.StringIO(text), t0=2)
+        assert str(err.value) == message
+        assert err.value.row == row
+
+    @pytest.mark.parametrize(
+        ("rows", "message", "row"),
+        [
+            # The first bad cell in row-major order reports, whatever its kind.
+            (["1,2,3", "4,inf,6", "7,8,oops"], "non-finite cell 'inf' at row 1, column 1", 1),
+            (["1,2,3", "4,5,oops", "inf,8,9"], "non-numeric cell 'oops' at row 1, column 2", 1),
+            (["1,2,3", "4,5,6", "7,8,9", ",oops,nan"], "non-numeric cell 'oops' at row 3, column 1", 3),
+            # Bad cells are reported before blank cells outside the target post period.
+            (["1,2,3", ",5,6", "7,8,nan"], "non-finite cell 'nan' at row 2, column 2", 2),
+        ],
+    )
+    def test_first_bad_cell_reports(self, rows, message, row):
+        with pytest.raises(ParseError) as err:
+            load_csv(io.StringIO("\n".join(rows) + "\n"), t0=1, has_header=False)
+        assert str(err.value) == message
+        assert err.value.row == row
+
 
 class TestSaveCsvRoundTrip:
     def test_round_trip_exact(self):

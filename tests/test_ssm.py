@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,35 @@ class TestParams:
         for name in ("A", "H", "Q", "R", "m0", "P0"):
             assert np.array_equal(getattr(back, name), getattr(theta, name))
         assert back.diag_noise == theta.diag_noise
+
+    @pytest.mark.parametrize("diag_noise", [True, False])
+    def test_json_r_layout_follows_diag_noise(self, diag_noise):
+        rng = np.random.default_rng(1)
+        theta = random_theta(rng, 2, 5, diag_noise=diag_noise)
+        text = params_to_json(theta)
+        R = np.array(json.loads(text)["R"])
+        assert R.shape == ((5,) if diag_noise else (5, 5))
+        back = params_from_json(text)
+        for name in ("A", "H", "Q", "R", "m0", "P0"):
+            assert getattr(back, name).tobytes() == getattr(theta, name).tobytes()
+        assert back.diag_noise == diag_noise
+
+    def test_json_with_full_diagonal_r_still_loads(self, tmp_path):
+        # Files written before R was stored as a vector carry it N x N.
+        rng = np.random.default_rng(2)
+        theta = random_theta(rng, 2, 4, diag_noise=True)
+        doc = {
+            "d": 2, "n_obs": 4, "diag_noise": True,
+            "A": theta.A.tolist(), "H": theta.H.tolist(), "Q": theta.Q.tolist(),
+            "R": theta.R.tolist(), "m0": theta.m0.tolist(), "P0": theta.P0.tolist(),
+            "loglik_trace": [-3.5],
+        }
+        path = tmp_path / "old.theta.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        back = params_from_json(path)
+        for name in ("A", "H", "Q", "R", "m0", "P0"):
+            assert np.array_equal(getattr(back, name), getattr(theta, name))
+        assert back.diag_noise
 
 
 class TestKalmanStep:
