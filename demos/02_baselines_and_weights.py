@@ -13,7 +13,6 @@ from tasc import (
     hsvt,
     rmse,
     rsc_fit,
-    rsc_predict,
     sc_fit,
     sc_predict,
     simulate,
@@ -42,7 +41,7 @@ print(f"rank-2 thresholding keeps "
       f"{np.sum(s_full[:2]**2) / np.sum(s_full**2):.1%} of the energy")
 
 fit = rsc_fit(panel, RscConfig(d=2, cv_grid=DEFAULT_CV_GRID))
-rsc_path = rsc_predict(fit.weights, fit.denoised[:, panel.t0 :])
+rsc_path = sc_predict(fit.weights, fit.denoised[:, panel.t0 :])
 print(f"\nRSC cross-validated ridge coefficient: {fit.lambda_:g}")
 print(f"RSC post RMSE: {rmse(rsc_path, truth_post):.4f}")
 

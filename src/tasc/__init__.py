@@ -23,7 +23,6 @@ from .errors import (
     TascError,
 )
 from .panel import (
-    CenteredPanel,
     PanelData,
     load_csv,
     load_metadata,
@@ -36,8 +35,6 @@ from .panel import (
     stack_multivariate,
 )
 from .ssm import (
-    FilterState,
-    SeasonalOffsets,
     SmoothedTrajectory,
     StateSpaceParams,
     filter_pass,
@@ -53,9 +50,6 @@ from .ssm import (
 from .engine import (
     CounterfactualEstimate,
     EmConfig,
-    EmResult,
-    SufficientStats,
-    TascResult,
     accumulate_stats,
     confidence_width,
     em_pre,
@@ -67,18 +61,15 @@ from .baselines import (
     DEFAULT_CV_GRID,
     DonorWeights,
     RscConfig,
-    RscFit,
     hsvt,
     project_simplex,
     rsc_fit,
-    rsc_predict,
     sc_fit,
     sc_predict,
     weights_from_json,
     weights_to_json,
 )
 from .simulate import (
-    SimulatedPanel,
     SimulationConfig,
     gen_panel,
     gen_params,
@@ -89,11 +80,6 @@ from .simulate import (
 )
 from .evaluate import (
     Estimator,
-    EvalReport,
-    PlaceboEntry,
-    PlaceboResult,
-    Prediction,
-    StressResult,
     fit_predict,
     method_sweep,
     permutation_stress_test,

@@ -1,11 +1,13 @@
-"""Small linear-algebra, seeding and artifact-reading helpers used across modules."""
+"""Small linear-algebra, seeding and artifact reading/writing helpers used across modules."""
 
 from __future__ import annotations
 
 import json
 import logging
 import math
+from contextlib import contextmanager
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -98,3 +100,32 @@ def read_json(source: str | Path) -> dict:
     if isinstance(source, str) and source.lstrip().startswith("{"):
         return json.loads(source)
     return json.loads(Path(source).read_text())
+
+
+def write_json(doc: dict, dest: str | Path | None = None) -> str:
+    """Encode a JSON artifact (two-space indent, trailing newline); write it to ``dest`` if given.
+
+    numpy scalars and arrays are encoded as the equivalent Python values.
+    """
+    text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+    if dest is not None:
+        Path(dest).write_text(text)
+    return text
+
+
+def _json_default(value):
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"not JSON serializable: {type(value)}")
+
+
+@contextmanager
+def open_for_write(dest: str | Path | IO[str]) -> Iterator[IO[str]]:
+    """Yield ``dest`` if it is a text handle, else the file at that path, opened for writing and closed after."""
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", newline="") as handle:
+            yield handle
+    else:
+        yield dest

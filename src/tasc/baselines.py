@@ -9,15 +9,14 @@ coefficient by leave-last-k validation on the pre period.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._numeric import COND_LIMIT, read_json
-from .errors import ConfigError, SolverError
+from ._numeric import read_json, spd_cholesky, spd_solve, write_json
+from .errors import ConfigError, NumericalError, SolverError
 from .panel import PanelData
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "sc_predict",
     "hsvt",
     "rsc_fit",
-    "rsc_predict",
     "project_simplex",
     "weights_to_json",
     "weights_from_json",
@@ -197,14 +195,12 @@ def hsvt(Y: np.ndarray, d: int) -> np.ndarray:
 
 
 def _ridge_solve(X_pre: np.ndarray, y_pre: np.ndarray, lam: float) -> np.ndarray:
-    n = X_pre.shape[0]
-    normal = X_pre @ X_pre.T + lam * np.eye(n)
-    vals = np.linalg.eigvalsh(normal)
-    if vals[0] <= 0 or vals[-1] / vals[0] > COND_LIMIT:
-        raise SolverError(
-            "ridge normal matrix is singular; use lambda > 0", residual=float(vals[0])
-        )
-    return np.linalg.solve(normal, X_pre @ y_pre)
+    normal = X_pre @ X_pre.T + lam * np.eye(X_pre.shape[0])
+    try:
+        low = spd_cholesky(normal, "ridge normal matrix")
+    except NumericalError:
+        raise SolverError("ridge normal matrix is singular; use lambda > 0") from None
+    return spd_solve(low, X_pre @ y_pre)
 
 
 def rsc_fit(panel: PanelData, config: RscConfig) -> RscFit:
@@ -250,16 +246,9 @@ def rsc_fit(panel: PanelData, config: RscConfig) -> RscFit:
     return RscFit(weights=weights, denoised=denoised, lambda_=float(lam), cv_errors=cv_errors)
 
 
-def rsc_predict(weights: DonorWeights, denoised_post: np.ndarray) -> np.ndarray:
-    """Project ridge weights onto denoised post-intervention donor columns."""
-    return sc_predict(weights, denoised_post)
-
-
 def weights_to_json(weights: DonorWeights, dest: str | Path | None = None) -> str:
-    text = json.dumps(_weights_doc(weights), indent=2)
-    if dest is not None:
-        Path(dest).write_text(text + "\n")
-    return text
+    """Serialize weights as a JSON document; the returned text has no trailing newline."""
+    return write_json(_weights_doc(weights), dest).rstrip("\n")
 
 
 def _weights_doc(weights: DonorWeights) -> dict:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._numeric import write_json
 from .baselines import DEFAULT_CV_GRID, RscConfig, _weights_doc
 from .engine import EmConfig
 from .errors import ConfigError, FitError, NumericalError, ParseError, SolverError
@@ -126,18 +127,9 @@ def _load_panel(args, config: dict) -> PanelData:
 
 def _write_table(rows: list[dict], fieldnames: list[str], out: Path, fmt: str, meta: dict) -> None:
     if fmt == "json":
-        doc = {"meta": meta, "rows": rows}
-        out.write_text(json.dumps(doc, indent=2, default=_json_default) + "\n")
+        write_json({"meta": meta, "rows": rows}, out)
     else:
         write_rows_csv(rows, out, fieldnames=fieldnames, meta=meta)
-
-
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)}")
 
 
 def cmd_infer(args, argv: list[str]) -> int:
@@ -173,11 +165,11 @@ def cmd_infer(args, argv: list[str]) -> int:
     if pred.theta is not None:
         doc = _params_doc(pred.theta, loglik_trace=pred.loglik_trace)
         doc["meta"] = meta
-        out.with_suffix(out.suffix + ".theta.json").write_text(json.dumps(doc, indent=2) + "\n")
+        write_json(doc, out.with_suffix(out.suffix + ".theta.json"))
     if pred.weights is not None:
         doc = _weights_doc(pred.weights)
         doc["meta"] = meta
-        out.with_suffix(out.suffix + ".weights.json").write_text(json.dumps(doc, indent=2) + "\n")
+        write_json(doc, out.with_suffix(out.suffix + ".weights.json"))
     return 0
 
 
@@ -208,7 +200,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
     out = Path(args.output)
     paths = save_simulation(sim, out)
     doc = {"meta": meta, "config": sim_config.__dict__, "files": {k: str(v) for k, v in paths.items()}}
-    (out / "meta.json").write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(doc, out / "meta.json")
     return 0
 
 
@@ -265,7 +257,7 @@ def cmd_placebo(args, argv: list[str]) -> int:
         repr(ratio): threshold_filter(result, target_pre_mse, ratio) for ratio in ratios
     }
     retained_doc = {"meta": meta, "target_pre_mse": target_pre_mse, "retained": retained}
-    Path(str(out) + ".retained.json").write_text(json.dumps(retained_doc, indent=2) + "\n")
+    write_json(retained_doc, str(out) + ".retained.json")
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm
 
-from ._numeric import COND_LIMIT, ensure_spd, min_eig, symmetrize
+from ._numeric import ensure_spd, min_eig, spd_cholesky, spd_solve, symmetrize
 from .errors import ConfigError, FitError, NumericalError, TascError
 from .panel import PanelData
 from .ssm import (
@@ -194,34 +194,26 @@ def accumulate_stats(smoothed: SmoothedTrajectory, Y: np.ndarray) -> SufficientS
     return SufficientStats(sigma=symmetrize(sigma), phi=symmetrize(phi), b=b, c=c, Y=Y)
 
 
-def _spd_inverse_factor(m: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of an SPD matrix with an explicit conditioning gate."""
-    vals = np.linalg.eigvalsh(m)
-    if vals[0] <= 0 or vals[-1] / vals[0] > COND_LIMIT:
-        raise NumericalError(f"{what} is singular or ill-conditioned")
-    return np.linalg.inv(m)
-
-
 def m_step(
     stats: SufficientStats,
     theta_old: StateSpaceParams,
     m0s: np.ndarray,
     P0s: np.ndarray,
-    diag_noise: bool | None = None,
 ) -> StateSpaceParams:
     """Closed-form parameter update from accumulated moments.
 
     A' and H' are the exact maximizers; Q' and R' are the residual second
-    moments evaluated at the fresh A'/H' (kept diagonal when ``diag_noise``),
-    floored to stay positive definite.  The initial covariance update inflates
-    the smoothed P0 by the shift of the initial mean from its previous value.
+    moments evaluated at the fresh A'/H' (kept diagonal when
+    ``theta_old.diag_noise``), floored to stay positive definite.  The initial
+    covariance update inflates the smoothed P0 by the shift of the initial mean
+    from its previous value.  A singular or ill-conditioned Phi or Sigma
+    raises NumericalError from its Cholesky gate.
     """
-    if diag_noise is None:
-        diag_noise = theta_old.diag_noise
-    phi_inv = _spd_inverse_factor(stats.phi, "state moment matrix Phi")
-    sigma_inv = _spd_inverse_factor(stats.sigma, "state moment matrix Sigma")
-    A_new = stats.c @ phi_inv
-    H_new = stats.b @ sigma_inv
+    diag_noise = theta_old.diag_noise
+    low_phi = spd_cholesky(stats.phi, "state moment matrix Phi")
+    low_sigma = spd_cholesky(stats.sigma, "state moment matrix Sigma")
+    A_new = spd_solve(low_phi, stats.c.T).T  # c Phi^-1, Phi symmetric
+    H_new = spd_solve(low_sigma, stats.b.T).T  # b Sigma^-1
 
     q_full = stats.sigma - 2.0 * stats.c @ A_new.T + A_new @ stats.phi @ A_new.T
     if diag_noise:
@@ -276,7 +268,7 @@ def _em_single(Y_pre: np.ndarray, config: EmConfig, restart_index: int) -> tuple
                 return theta, trace
         smoothed = smooth_pass(filtered, theta)
         stats = accumulate_stats(smoothed, Y_stats)
-        theta = m_step(stats, theta, smoothed.m_s[0], smoothed.P_s[0], config.diag_noise)
+        theta = m_step(stats, theta, smoothed.m_s[0], smoothed.P_s[0])
         prev_ll = ll
     _, ll = _forward(Y_pre, theta, seasonal=s)
     if prev_ll is not None and ll < prev_ll - _MONOTONE_SLACK:
@@ -343,9 +335,7 @@ def tasc_infer(
         raise ConfigError("ci_variance must be 'prediction' or 'signal'")
     t0 = panel.t0
     t_total = panel.n_periods
-    s = _seasonal_array(config.seasonal, 0)
-    if s is not None and s.shape[0] < t_total:
-        raise ConfigError(f"seasonal offsets cover {s.shape[0]} periods, need {t_total}")
+    s = _seasonal_array(config.seasonal, t_total)
 
     em = em_pre(panel.values[:, :t0], config)
     theta = em.theta

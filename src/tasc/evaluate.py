@@ -16,11 +16,11 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from ._numeric import derive_seed
-from .baselines import RscConfig, DonorWeights, rsc_fit, rsc_predict, sc_fit, sc_predict
+from ._numeric import derive_seed, open_for_write
+from .baselines import RscConfig, DonorWeights, rsc_fit, sc_fit, sc_predict
 from .engine import EmConfig, confidence_width, tasc_infer
 from .errors import ConfigError, TascError
-from .panel import PanelData, mean_center, permute_columns, split
+from .panel import PanelData, mean_center, permute_columns
 from .simulate import SimulationConfig, simulate
 from .ssm import StateSpaceParams
 
@@ -152,16 +152,14 @@ def fit_predict(panel: PanelData, estimator: Estimator, seed: int | None = None)
             loglik_trace=result.loglik_trace,
         )
 
-    pre, post = split(work)
     if estimator.method == "sc":
-        weights = sc_fit(pre[0], pre[1:], tol=estimator.sc_tol)
-        y_hat = sc_predict(weights, post[1:])
-        fitted = sc_predict(weights, pre[1:])
+        donors = work.donors
+        weights = sc_fit(work.values[0, : panel.t0], donors[:, : panel.t0], tol=estimator.sc_tol)
     else:
         fit = rsc_fit(work, estimator.rsc)
-        weights = fit.weights
-        y_hat = rsc_predict(weights, fit.denoised[:, panel.t0 :])
-        fitted = rsc_predict(weights, fit.denoised[:, : panel.t0])
+        weights, donors = fit.weights, fit.denoised
+    y_hat = sc_predict(weights, donors[:, panel.t0 :])
+    fitted = sc_predict(weights, donors[:, : panel.t0])
     if offset is not None:
         y_hat = y_hat + offset[panel.t0 :]
         fitted = fitted + offset[: panel.t0]
@@ -398,20 +396,13 @@ def write_rows_csv(
     """Write dict rows as CSV, with an optional leading ``#``-comment meta line."""
     if fieldnames is None:
         fieldnames = list(rows[0].keys()) if rows else []
-
-    def _write(handle: IO[str]) -> None:
+    with open_for_write(dest) as handle:
         if meta is not None:
             handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         writer = csv.DictWriter(handle, fieldnames=list(fieldnames), lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _format_cell(row.get(k)) for k in fieldnames})
-
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="") as handle:
-            _write(handle)
-    else:
-        _write(dest)
 
 
 def _format_cell(value) -> str:

@@ -19,6 +19,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from ._numeric import open_for_write, write_json
 from .errors import ConfigError, ParseError
 
 __all__ = [
@@ -233,19 +234,12 @@ def save_csv(panel: PanelData, dest: str | Path | IO[str]) -> None:
     Values are printed with shortest round-trip precision, so reading the file
     back reproduces them exactly.
     """
-
-    def _write(handle: IO[str]) -> None:
+    with open_for_write(dest) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["unit"] + list(panel.time_labels))
         for label, row in zip(panel.unit_labels, panel.values):
             cells = ["" if not np.isfinite(v) else repr(float(v)) for v in row]
             writer.writerow([label] + cells)
-
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="") as handle:
-            _write(handle)
-    else:
-        _write(dest)
 
 
 def panel_metadata(panel: PanelData) -> dict:
@@ -259,7 +253,7 @@ def panel_metadata(panel: PanelData) -> dict:
 
 
 def save_metadata(panel: PanelData, dest: str | Path) -> None:
-    Path(dest).write_text(json.dumps(panel_metadata(panel), indent=2) + "\n")
+    write_json(panel_metadata(panel), dest)
 
 
 def load_metadata(source: str | Path) -> dict:

@@ -39,7 +39,6 @@ and smoothed covariance wherever their inputs are the same arrays.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,6 +54,7 @@ from ._numeric import (
     spd_solve,
     symmetrize,
     try_cholesky,
+    write_json,
 )
 from .errors import ConfigError, NumericalError
 
@@ -100,6 +100,8 @@ class StateSpaceParams:
     def __post_init__(self):
         for name in ("A", "H", "Q", "R", "m0", "P0"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         d = self.A.shape[0]
@@ -487,12 +489,10 @@ def params_to_json(
 ) -> str:
     """Serialize parameters as a JSON document (lossless float round trip).
 
-    Under ``diag_noise`` R is written as its length-N diagonal.
+    Under ``diag_noise`` R is written as its length-N diagonal.  The returned
+    text has no trailing newline; the file written to ``dest`` ends with one.
     """
-    text = json.dumps(_params_doc(theta, loglik_trace), indent=2)
-    if dest is not None:
-        Path(dest).write_text(text + "\n")
-    return text
+    return write_json(_params_doc(theta, loglik_trace), dest).rstrip("\n")
 
 
 def _params_doc(theta: StateSpaceParams, loglik_trace: list[float] | None = None) -> dict:

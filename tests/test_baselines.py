@@ -10,7 +10,6 @@ from tasc import (
     hsvt,
     project_simplex,
     rsc_fit,
-    rsc_predict,
     sc_fit,
     sc_predict,
     weights_from_json,
@@ -210,21 +209,23 @@ class TestRscFit:
 
 
 class TestRscPredict:
+    """RSC predicts with ``sc_predict`` on ridge weights."""
+
     def test_vertex_weight(self):
         rng = np.random.default_rng(15)
         post = rng.standard_normal((3, 4))
         w = DonorWeights(f=np.array([0.0, 0.0, 1.0]), kind="ridge", lambda_=0.1, d=2)
-        assert np.array_equal(rsc_predict(w, post), post[2])
+        assert np.array_equal(sc_predict(w, post), post[2])
 
     def test_zero_weights_zero_prediction(self):
         w = DonorWeights(f=np.zeros(3), kind="ridge", lambda_=1.0, d=1)
-        assert np.allclose(rsc_predict(w, np.ones((3, 5))), 0.0)
+        assert np.allclose(sc_predict(w, np.ones((3, 5))), 0.0)
 
     def test_linearity(self):
         rng = np.random.default_rng(16)
         post = rng.standard_normal((2, 6))
         w = DonorWeights(f=np.array([1.5, -0.5]), kind="ridge", lambda_=0.0, d=1)
-        assert np.allclose(rsc_predict(w, 2.0 * post), 2.0 * rsc_predict(w, post))
+        assert np.allclose(sc_predict(w, 2.0 * post), 2.0 * sc_predict(w, post))
 
 
 class TestWeightsSerialization:

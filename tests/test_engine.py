@@ -5,6 +5,7 @@ from tasc import (
     ConfigError,
     EmConfig,
     FitError,
+    NumericalError,
     PanelData,
     StateSpaceParams,
     accumulate_stats,
@@ -17,6 +18,8 @@ from tasc import (
     SmoothedTrajectory,
     tasc_infer,
 )
+
+from tasc.engine import SufficientStats
 
 from oracles import q_gradient_fd, random_theta
 
@@ -166,12 +169,13 @@ class TestMStep:
 
     def test_diagonal_mode_zeroes_off_diagonals(self):
         rng = np.random.default_rng(6)
-        theta = random_theta(rng, 3, 4)
+        theta = random_theta(rng, 3, 4, diag_noise=True)
         Y = rng.standard_normal((4, 10))
         filt = filter_pass(Y, theta)
         smoothed = smooth_pass(filt, theta)
         stats = accumulate_stats(smoothed, Y)
-        new = m_step(stats, theta, smoothed.m_s[0], smoothed.P_s[0], diag_noise=True)
+        new = m_step(stats, theta, smoothed.m_s[0], smoothed.P_s[0])
+        assert new.diag_noise
         assert np.array_equal(new.Q, np.diag(np.diag(new.Q)))
         assert np.array_equal(new.R, np.diag(np.diag(new.R)))
 
@@ -194,6 +198,28 @@ class TestMStep:
             r = np.diag(new.R)
             assert np.max(np.abs(r - full) / full) <= 1e-12
             assert np.array_equal(new.R, np.diag(r))
+
+    @pytest.mark.parametrize(
+        "phi, sigma",
+        [
+            ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]),  # rank-deficient Phi
+            ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]),  # rank-deficient Sigma
+            # Condition number 2e13: the squared diagonal ratio of its factor
+            # (5e12) is past the 1e12 limit.
+            ([[1.0, 1.0 - 1e-13], [1.0 - 1e-13, 1.0]], [[1.0, 0.0], [0.0, 1.0]]),
+        ],
+    )
+    def test_singular_state_moments_raise(self, phi, sigma):
+        stats = SufficientStats(
+            sigma=np.array(sigma), phi=np.array(phi), b=np.ones((3, 2)),
+            c=np.eye(2), Y=np.ones((3, 4)),
+        )
+        theta = StateSpaceParams(
+            A=np.eye(2), H=np.ones((3, 2)), Q=np.eye(2), R=np.eye(3),
+            m0=np.zeros(2), P0=np.eye(2),
+        )
+        with pytest.raises(NumericalError, match="state moment matrix"):
+            m_step(stats, theta, m0s=np.zeros(2), P0s=np.eye(2))
 
     def test_stationarity_of_update(self):
         # Finite-difference gradient of the Q-function vanishes at the
@@ -347,6 +373,12 @@ class TestTascInfer:
         pred_mode = tasc_infer(panel, config, ci_variance="prediction")
         sig_mode = tasc_infer(panel, config, ci_variance="signal")
         assert confidence_width(pred_mode.estimate) >= confidence_width(sig_mode.estimate)
+
+    def test_seasonal_offsets_shorter_than_panel_rejected(self):
+        panel = self_similar_panel()
+        config = EmConfig(d=1, n_iters=2, n_restarts=1, seasonal=np.zeros(panel.n_periods - 1))
+        with pytest.raises(ConfigError, match="seasonal offsets cover 29 periods, need 30"):
+            tasc_infer(panel, config)
 
     def test_bad_level_rejected(self):
         panel = self_similar_panel()

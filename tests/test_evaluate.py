@@ -282,3 +282,12 @@ class TestReportRows:
         text = buf.getvalue()
         assert text.startswith('# {"seed": 3}\n')
         assert "rmse_post" in text
+
+    def test_path_and_handle_write_same_text(self, tmp_path):
+        rows = [{"a": 1, "b": 0.1}, {"a": 2, "b": None}]
+        buf = io.StringIO()
+        write_rows_csv(rows, buf, meta={"seed": 4})
+        path = tmp_path / "rows.csv"
+        write_rows_csv(rows, path, meta={"seed": 4})
+        assert path.read_bytes() == buf.getvalue().encode()
+        assert buf.getvalue() == '# {"seed": 4}\na,b\n1,0.1\n2,\n'

@@ -189,6 +189,16 @@ class TestSaveCsvRoundTrip:
         assert back.target_post_missing
         assert np.array_equal(back.values, panel.values, equal_nan=True)
 
+    def test_path_and_handle_write_same_text(self, tmp_path):
+        values = np.arange(12, dtype=float).reshape(3, 4) / 7.0
+        values[0, 3] = np.nan
+        panel = make_panel(values, 2, missing=True)
+        buf = io.StringIO()
+        save_csv(panel, buf)
+        path = tmp_path / "panel.csv"
+        save_csv(panel, path)
+        assert path.read_bytes() == buf.getvalue().encode()
+
     def test_metadata_sidecar(self, tmp_path):
         panel = make_panel(np.ones((3, 4)), 2)
         meta = panel_metadata(panel)

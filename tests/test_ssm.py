@@ -21,6 +21,9 @@ from tasc import (
     smooth_pass,
 )
 
+from tasc._numeric import write_json
+from tasc.ssm import _params_doc
+
 from oracles import conditioned_moments, observed_log_density, random_theta
 
 
@@ -50,6 +53,39 @@ class TestParams:
                 A=np.eye(2), H=np.ones((2, 2)), Q=[[1.0, 0.1], [0.1, 1.0]],
                 R=np.eye(2), m0=np.zeros(2), P0=np.eye(2), diag_noise=True,
             )
+
+    @pytest.mark.parametrize("name", ["A", "H", "Q", "R", "m0", "P0"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, name, bad):
+        fields = dict(
+            A=np.eye(2), H=np.ones((3, 2)), Q=np.eye(2), R=np.eye(3),
+            m0=np.zeros(2), P0=np.eye(2),
+        )
+        fields[name] = fields[name].copy()
+        fields[name].flat[-1] = bad
+        with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
+            StateSpaceParams(**fields)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("H", "[[1.0], [NaN]]"), ("A", "[[Infinity]]"), ("R", "[1.0, NaN]")],
+    )
+    def test_non_finite_json_rejected(self, name, value):
+        # json.loads accepts NaN and Infinity, so the file must be checked.
+        fields = {
+            "A": "[[0.5]]", "H": "[[1.0], [1.0]]", "Q": "[[1.0]]", "R": "[1.0, 1.0]",
+            "m0": "[0.0]", "P0": "[[1.0]]",
+        }
+        fields[name] = value
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + ', "diag_noise": true}'
+        with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
+            params_from_json(text)
+
+    def test_write_json_layout(self):
+        theta = random_theta(np.random.default_rng(3), 2, 3)
+        doc = _params_doc(theta, loglik_trace=[-1.5])
+        assert write_json(doc) == json.dumps(doc, indent=2) + "\n"
+        assert params_to_json(theta, loglik_trace=[-1.5]) == json.dumps(doc, indent=2)
 
     def test_json_round_trip_lossless(self):
         rng = np.random.default_rng(0)
