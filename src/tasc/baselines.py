@@ -1,8 +1,8 @@
 """Classical synthetic control and robust synthetic control baselines.
 
 ``sc_fit`` solves the simplex-constrained least-squares program over donor
-weights by accelerated projected gradient descent.  ``rsc_fit`` denoises the
-donor matrix by hard singular-value thresholding and fits ridge-regularized
+weights exactly, by Wolfe's minimum-norm-point method.  ``rsc_fit`` denoises
+the donor matrix by hard singular-value thresholding and fits ridge-regularized
 weights on the denoised pre-intervention block, optionally choosing the ridge
 coefficient by leave-last-k validation on the pre period.
 """
@@ -100,6 +100,17 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return out / out.sum()
 
 
+# Wolfe's tolerances: a weight at or below _ZERO is zero, and the ratio test
+# skips weights that shrink by at most _RATIO_MIN, where the step is unstable.
+_ZERO = 1e-12
+_RATIO_MIN = 1e-10
+
+
+def _require_finite(values: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{name} must be entirely finite")
+
+
 def sc_fit(
     y1_pre: np.ndarray,
     donors_pre: np.ndarray,
@@ -108,72 +119,67 @@ def sc_fit(
 ) -> DonorWeights:
     """Simplex-constrained least squares: min ||y1_pre - f' donors_pre||^2.
 
-    Accelerated projected gradient descent with gradient-based momentum
-    restarts.  The data are rescaled to unit RMS internally (the minimizer is
-    scale invariant), and the returned point is feasible with a
-    projected-gradient norm of at most ``tol`` on that normalized problem.
-    Among zero-residual vertices the lowest donor index wins.
+    With sum(f) = 1 the residual is sum_j f_j p_j for p_j = donors_pre[j] - y1_pre,
+    so the minimizer is the point x of least norm in the convex hull of the
+    p_j, which Wolfe's active-set method (Math. Programming 11, 1976) finds
+    exactly, with zero weight off its support.  The data are rescaled to unit
+    RMS internally (the minimizer is scale invariant); ``tol`` bounds the gap
+    x'x - min_j x'p_j by ``tol * max(1, max_j |p_j|^2)`` on that normalized
+    problem, and ``max_iters`` caps the major plus minor cycles.  Among
+    zero-residual vertices the lowest donor index wins.
     """
     y = np.asarray(y1_pre, dtype=float).ravel()
     D = np.asarray(donors_pre, dtype=float)
     if D.ndim != 2 or D.shape[1] != y.size:
         raise ConfigError("donors_pre must be n x t0 matching y1_pre")
-    n = D.shape[0]
-    if n == 1:
-        return DonorWeights(f=np.array([1.0]), kind="simplex")
+    _require_finite(y, "y1_pre")
+    _require_finite(D, "donors_pre")
 
     scale = float(np.sqrt(np.mean(np.square(D)) + np.mean(np.square(y))))
     if scale <= 0.0 or not np.isfinite(scale):
         scale = 1.0
-    Dn = D / scale
-    yn = y / scale
-    gram = Dn @ Dn.T
-    lin = Dn @ yn
-    lip = 2.0 * float(np.linalg.eigvalsh(gram)[-1]) + 1e-12
-    step = 1.0 / lip
+    points = D / scale - y / scale
+    gram = points @ points.T
+    vertex_obj = np.sum(points**2, axis=1)
+    gate = tol * max(1.0, float(vertex_obj.max()))
 
-    def grad(f):
-        return 2.0 * (gram @ f - lin)
-
-    f = np.full(n, 1.0 / n)
-    z = f.copy()
-    t_mom = 1.0
-    pg_norm = np.inf
+    support, lam = np.array([int(np.argmin(vertex_obj))]), np.ones(1)
+    major, gap = True, np.inf
     for _ in range(max_iters):
-        f_new = project_simplex(z - step * grad(z))
-        if (z - f_new) @ (f_new - f) > 0.0:
-            # Momentum points uphill: restart the accelerated sequence.
-            t_mom = 1.0
-            z = f_new
-        else:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom**2))
-            z = f_new + ((t_mom - 1.0) / t_next) * (f_new - f)
-            t_mom = t_next
-        f = f_new
-        pg = (f - project_simplex(f - step * grad(f))) / step
-        pg_norm = float(np.linalg.norm(pg))
-        if pg_norm <= tol:
-            break
+        if major:  # stop at a small gap, else add the donor minimizing x'p_j
+            xp = gram[:, support] @ lam
+            j = int(np.argmin(xp))
+            gap = float(lam @ xp[support] - xp[j])
+            if gap <= gate or j in support:
+                break
+            support, lam, major = np.append(support, j), np.append(lam, 0.0), False
+            continue
+        # Minor cycle: step from lam toward the affine minimizer on the support,
+        # (G_S + 11')^-1 1 normalized, until a weight reaches zero.  G_S + 11' is
+        # positive definite exactly when the support points are affinely independent.
+        try:
+            low = spd_cholesky(gram[np.ix_(support, support)] + 1.0, "simplex support Gram matrix")
+        except NumericalError as exc:
+            raise SolverError(f"simplex solver failed on a support of {support.size} donors: {exc}") from None
+        alpha = spd_solve(low, np.ones(support.size))
+        alpha /= alpha.sum()
+        blocking = (alpha <= _ZERO) & (lam - alpha > _RATIO_MIN)
+        theta = float(np.min(lam[blocking] / (lam - alpha)[blocking], initial=1.0))
+        major = bool(np.all(alpha > _ZERO))
+        lam = (1.0 - theta) * lam + theta * alpha
+        keep = lam > _ZERO
+        support, lam = support[keep], lam[keep] / lam[keep].sum()
     else:
         raise SolverError(
-            f"simplex solver did not reach tolerance {tol:g} in {max_iters} iterations",
-            residual=pg_norm,
+            f"simplex solver did not reach tolerance {tol:g} in {max_iters} cycles", residual=gap
         )
 
-    def objective(f):
-        r = yn - f @ Dn
-        return float(r @ r)
-
-    # Exact-tie vertices take precedence, lowest donor index first.
-    obj = objective(f)
-    for j in range(n):
-        vertex_obj = objective(np.eye(n)[j])
-        if vertex_obj <= obj + 1e-12:
-            f = np.eye(n)[j]
-            break
-
-    f = np.clip(f, 0.0, None)
-    f = f / f.sum()
+    x = lam @ points[support]
+    ties = np.flatnonzero(vertex_obj <= x @ x + 1e-12)
+    if ties.size:  # exact-tie vertices take precedence, lowest donor index first
+        support, lam = ties[:1], np.ones(1)
+    f = np.zeros(D.shape[0])
+    f[support] = lam
     return DonorWeights(f=f, kind="simplex")
 
 
@@ -188,6 +194,7 @@ def sc_predict(weights: DonorWeights, donors_post: np.ndarray) -> np.ndarray:
 def hsvt(Y: np.ndarray, d: int) -> np.ndarray:
     """Hard singular-value thresholding: keep the top-d components of Y."""
     Y = np.asarray(Y, dtype=float)
+    _require_finite(Y, "Y")
     if not 1 <= d <= min(Y.shape):
         raise ConfigError(f"kept rank d={d} must be in [1, {min(Y.shape)}]")
     u, s, vt = np.linalg.svd(Y, full_matrices=False)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._numeric import write_json
+from ._numeric import read_json, write_json
 from .baselines import DEFAULT_CV_GRID, RscConfig, _weights_doc
 from .engine import EmConfig
 from .errors import ConfigError, FitError, NumericalError, ParseError, SolverError
@@ -52,7 +52,7 @@ def _meta(argv: list[str], seed: int | None) -> dict:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError("config file must contain a JSON object")
     return doc
@@ -267,7 +267,7 @@ def cmd_permute(args, argv: list[str]) -> int:
     seed = int(_pick(args.seed, config, "seed", 0))
     meta = _meta(argv, seed)
     if args.simconfig:
-        sim_doc = json.loads(Path(args.simconfig).read_text())
+        sim_doc = read_json(args.simconfig)
         data = _sim_config_from(sim_doc, None)
     else:
         data = _load_panel(args, config)
@@ -284,7 +284,7 @@ def cmd_permute(args, argv: list[str]) -> int:
 
 
 def cmd_bench(args, argv: list[str]) -> int:
-    doc = json.loads(Path(args.regimes).read_text())
+    doc = read_json(args.regimes)
     regimes_doc = doc["regimes"] if isinstance(doc, dict) and "regimes" in doc else doc
     if not isinstance(regimes_doc, list) or not regimes_doc:
         raise ConfigError("regimes file must hold a nonempty list of simulation configs")

@@ -81,7 +81,9 @@ class Estimator:
     """A method tag plus the configuration needed to run it.
 
     ``center`` applies donor-mean centering before fitting and adds the mean
-    trajectory back to predictions.
+    trajectory back to predictions.  ``sc_tol`` is the gap tolerance of
+    Wolfe's method in :func:`~tasc.baselines.sc_fit`, on the problem rescaled
+    to unit RMS.
     """
 
     method: str

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
 
-from ._numeric import open_for_write, write_json
+from ._numeric import open_for_write, read_json, write_json
 from .errors import ConfigError, ParseError
 
 __all__ = [
@@ -257,7 +256,7 @@ def save_metadata(panel: PanelData, dest: str | Path) -> None:
 
 
 def load_metadata(source: str | Path) -> dict:
-    meta = json.loads(Path(source).read_text())
+    meta = read_json(source)
     for key in ("n_units", "t_total", "t0", "target_label"):
         if key not in meta:
             raise ParseError(f"sidecar metadata missing key {key!r}")

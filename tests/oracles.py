@@ -3,7 +3,8 @@
 These deliberately avoid the recursive filter/smoother code paths: moments are
 obtained by building the joint Gaussian over all states and observations and
 conditioning directly, and the simplex regression oracle is a dense grid
-search.  They are slow and only suitable for tiny instances.
+search.  They are slow and only suitable for tiny instances, except the
+simplex KKT check, which certifies a solution for any number of donors.
 """
 
 from __future__ import annotations
@@ -162,6 +163,24 @@ def simplex_grid_search(y, donors, step=1e-3):
     objs = np.einsum("ij,ij->i", resid, resid)
     best = int(np.argmin(objs))
     return grid[best], float(objs[best])
+
+
+def simplex_kkt_gap(y, donors, f):
+    """KKT residual of ``f`` for min ||y - f' donors||^2 over the simplex, any number of donors.
+
+    With gradient g = 2 donors (donors' f - y), a feasible f is optimal exactly
+    when g is constant on the support {f > 0} and no smaller off it.  Returns
+    the largest amount by which an off-support entry of g falls below the
+    smallest support entry, plus the spread of g over the support; 0 at the
+    optimum.
+    """
+    y = np.asarray(y, dtype=float)
+    donors = np.asarray(donors, dtype=float)
+    f = np.asarray(f, dtype=float)
+    g = 2.0 * donors @ (f @ donors - y)
+    on = f > 0
+    below = g[on].min() - g[~on].min() if np.any(~on) else 0.0
+    return float(max(below, 0.0) + g[on].max() - g[on].min())
 
 
 def random_spd(rng, dim, scale=1.0):

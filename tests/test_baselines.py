@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasc import (
     ConfigError,
@@ -16,7 +18,7 @@ from tasc import (
     weights_to_json,
 )
 
-from oracles import simplex_grid_search
+from oracles import simplex_grid_search, simplex_kkt_gap
 
 
 def donor_panel(values, t0):
@@ -27,6 +29,25 @@ def donor_panel(values, t0):
         tuple(f"u{i}" for i in range(n)),
         tuple(f"t{j}" for j in range(t)),
     )
+
+
+def random_simplex_instance(data, min_n=1, kinds=("outside",)):
+    """Target and donors with up to 60 donors and 40 pre periods.
+
+    ``outside``: Gaussian target and donors; ``inside``: the target is a
+    convex combination of the donors; ``low_rank``: donors of random rank.
+    """
+    n = data.draw(st.integers(min_n, 60), label="n")
+    t0 = data.draw(st.integers(1, 40), label="t0")
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "low_rank":
+        rank = int(rng.integers(1, t0 + 1))
+        donors = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, t0))
+    else:
+        donors = rng.standard_normal((n, t0))
+    y = rng.dirichlet(np.ones(n)) @ donors if kind == "inside" else rng.standard_normal(t0)
+    return y, donors
 
 
 class TestProjectSimplex:
@@ -87,6 +108,43 @@ class TestScFit:
         with pytest.raises(SolverError):
             sc_fit(rng.standard_normal(8), donors, tol=1e-16, max_iters=3)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_kkt_oracle_on_random_instances(self, data):
+        y, donors = random_simplex_instance(data, kinds=("outside", "inside", "low_rank"))
+        tol = 1e-10
+        f = sc_fit(y, donors, tol=tol).f
+        assert np.all(f >= 0.0) and abs(f.sum() - 1.0) <= 1e-12
+        # The solver stops at a duality gap of at most tol * max(1, max_j |p_j|^2)
+        # on the unit-RMS problem, so in data units the gradient entries differ
+        # by a small multiple of tol * max(1, max_j |d_j - y|^2), plus rounding.
+        reach = max(1.0, float(np.max(np.sum((donors - y) ** 2, axis=1))))
+        assert simplex_kkt_gap(y, donors, f) <= 10 * tol * reach
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_donor_permutation_permutes_weights(self, data):
+        y, donors = random_simplex_instance(data, min_n=2)
+        perm = np.random.default_rng(donors.shape[0]).permutation(donors.shape[0])
+        f = sc_fit(y, donors).f
+        assert np.max(np.abs(sc_fit(y, donors[perm]).f - f[perm])) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(-40, 40), c=st.floats(1e-6, 1e6))
+    def test_scale_invariance(self, data, k, c):
+        y, donors = random_simplex_instance(data)
+        f = sc_fit(y, donors).f
+        assert np.array_equal(sc_fit(2.0**k * y, 2.0**k * donors).f, f)
+        assert np.max(np.abs(sc_fit(c * y, c * donors).f - f)) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["y1_pre", "donors_pre"])
+    def test_non_finite_input_rejected(self, where, bad):
+        y, donors = np.ones(4), np.arange(12.0).reshape(3, 4)
+        (y if where == "y1_pre" else donors)[1] = bad
+        with pytest.raises(ConfigError, match=f"^{where} must be entirely finite$"):
+            sc_fit(y, donors)
+
     def test_simplex_feasibility_exact(self):
         rng = np.random.default_rng(5)
         donors = rng.standard_normal((4, 12))
@@ -138,6 +196,13 @@ class TestHsvt:
             tail = float(np.sum(s[d:] ** 2))
             err = float(np.linalg.norm(Y - hsvt(Y, d)) ** 2)
             assert abs(err - tail) <= 1e-8 * max(tail, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        Y = np.ones((3, 5))
+        Y[2, 4] = bad
+        with pytest.raises(ConfigError, match="^Y must be entirely finite$"):
+            hsvt(Y, 1)
 
     def test_rank_bounds(self):
         Y = np.ones((3, 5))

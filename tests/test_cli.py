@@ -143,6 +143,19 @@ class TestInfer:
         weights = json.loads(out.with_suffix(".csv.weights.json").read_text())
         assert weights["d"] == 1  # flag overrode the config file
 
+    def test_inline_config_text_matches_file(self, toy_panel_csv, tmp_path):
+        path, t0 = toy_panel_csv
+        text = json.dumps({"method": "sc", "t0": t0})
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        outs = []
+        for i, source in enumerate((str(config), text)):
+            outs.append(tmp_path / f"out{i}.csv")
+            code = main(["infer", "--input", str(path), "--config", source, "--output", str(outs[-1])])
+            assert code == 0
+        weights = [json.loads(out.with_suffix(".csv.weights.json").read_text()) for out in outs]
+        assert weights[0]["f"] == weights[1]["f"]
+
 
 class TestSimulate:
     def test_writes_panel_signal_theta(self, tmp_path):

@@ -1,13 +1,17 @@
-"""Every name a demo imports from ``tasc`` exists, checked without running the demos."""
+"""Every name a demo imports from ``tasc`` exists; demo 02, which exercises the baselines, runs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import tasc
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -26,3 +30,12 @@ def test_demo_imports_resolve(path):
     assert names, f"{path.name} imports nothing from tasc"
     missing = [name for name in names if not hasattr(tasc, name)]
     assert not missing, f"{path.name} imports {missing} from tasc"
+
+
+def test_baselines_demo_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "02_baselines_and_weights.py")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -206,6 +206,7 @@ class TestSaveCsvRoundTrip:
         path = tmp_path / "panel.meta.json"
         save_metadata(panel, path)
         assert load_metadata(path) == meta
+        assert load_metadata(path.read_text()) == meta  # inline JSON text
 
 
 class TestMeanCenter:
