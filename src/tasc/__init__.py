@@ -35,16 +35,13 @@ from .panel import (
     stack_multivariate,
 )
 from .ssm import (
+    FilteredTrajectory,
     SmoothedTrajectory,
     StateSpaceParams,
     filter_pass,
-    initial_state,
-    kalman_step,
-    kalman_step_missing_target,
     log_likelihood,
     params_from_json,
     params_to_json,
-    rts_step,
     smooth_pass,
 )
 from .engine import (

@@ -95,9 +95,9 @@ def derive_seed(*parts: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def read_json(source: str | Path) -> dict:
-    """Parse a JSON artifact given as a path, or as the JSON text itself (a string starting with '{')."""
-    if isinstance(source, str) and source.lstrip().startswith("{"):
+def read_json(source: str | Path) -> dict | list:
+    """Parse a JSON artifact given as a path, or as the JSON text itself (a string starting with '{' or '[')."""
+    if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
         return json.loads(source)
     return json.loads(Path(source).read_text())
 

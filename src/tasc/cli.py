@@ -374,7 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="regime x method x replicate sweep")
     common(p, needs_input=False)
     method_flags(p)
-    p.add_argument("--regimes", required=True, help="JSON file with a list of simulation configs")
+    p.add_argument(
+        "--regimes", required=True,
+        help="JSON list of simulation configs, or an object with a 'regimes' list; a file or the JSON text",
+    )
     p.add_argument("--methods", default="tasc,sc,rsc", help="comma-separated method tags")
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--buckets", type=int, default=5)

@@ -23,23 +23,25 @@ donor rows ``1:``.
 Each step splits into a covariance half (P_pred, its factor, the factor of
 M = I + L' J L, P and log det M), which depends on theta alone, and a mean
 half, which depends on the data.  The forward pass filters each row set
-(all rows before ``missing_target_from``, donors after it) as one segment,
-whitening and projecting the segment's observations with one matrix product
-each rather than one per step.
-Within a segment, once a step's P_pred equals the previous step's bit for
-bit, every later covariance quantity is the same deterministic function of
-the same inputs: the recursion has reached its fixed point (the steady state
-of Durbin & Koopman, section 4.3.4), and the remaining steps reuse the same
-arrays and run only the mean update.  The reuse needs no tolerance and gives
-bitwise the results of recomputing; a recursion that ends in a last-ulp
-oscillation instead never compares equal and stays on the full path.  The
-smoother gates and reuses the filter's factor of P_pred, and repeats its gain
-and smoothed covariance wherever their inputs are the same arrays.
+(all rows before ``missing_target_from``, donors after it) as one segment.
+Within a segment the covariance half runs only until a step's P_pred equals
+an earlier step's bit for bit.  From there every covariance quantity repeats
+with the period between the two, whether the recursion reached its fixed
+point (the steady state of Durbin & Koopman, section 4.3.4) or ends in a
+last-ulp cycle, so later steps reuse the stored entries by phase.  The reuse
+needs no tolerance and gives bitwise the results of recomputing.  The mean
+half is a linear recursion in the state, run as one log-depth scan over the
+segment (Sarkka & Garcia-Fernandez, Temporal parallelization of Bayesian
+smoothers, IEEE TAC 2021); it sums in another order than a per-step loop, so
+means agree with such a loop to rounding, not bitwise.  The smoother gates
+the filter's factor of each distinct P_pred once, solves for each distinct
+gain once, runs the smoothed means as a reverse scan, and repeats smoothed
+covariances by phase once their inputs recur.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,13 +62,9 @@ from .errors import ConfigError, NumericalError
 
 __all__ = [
     "StateSpaceParams",
-    "FilterState",
+    "FilteredTrajectory",
     "SmoothedTrajectory",
     "SeasonalOffsets",
-    "initial_state",
-    "kalman_step",
-    "kalman_step_missing_target",
-    "rts_step",
     "filter_pass",
     "smooth_pass",
     "log_likelihood",
@@ -140,21 +138,37 @@ class StateSpaceParams:
 
 
 @dataclass(frozen=True)
-class FilterState:
-    """Predicted and filtered moments of the latent state at time index k.
+class FilteredTrajectory:
+    """Predicted and filtered moments for time indices 1..K as stacked arrays.
 
-    Once the covariance recursion is steady, consecutive states share their
-    ``P_pred`` and ``P`` arrays; treat the arrays as read-only.
+    Row k of ``m_pred`` and ``m`` is time index k+1.  The covariance
+    quantities depend on theta alone and repeat once the recursion reaches its
+    fixed point or a last-ulp cycle, so each distinct one is stored once (the
+    ``*_e`` arrays, E entries) and ``cov[k]`` names the entry of row k.
+    ``P_pred`` and ``P`` expand them to K x d x d.  Treat the arrays as
+    read-only.
     """
 
-    k: int
-    m_pred: np.ndarray
-    P_pred: np.ndarray
-    m: np.ndarray
-    P: np.ndarray
-    # Lower Cholesky factor of P_pred when it has one, as the filter computed
-    # it; the smoother gates and reuses it instead of factoring P_pred again.
-    low_pred: np.ndarray | None = field(default=None, repr=False, compare=False)
+    m_pred: np.ndarray  # (K, d)
+    m: np.ndarray  # (K, d)
+    cov: np.ndarray  # (K,) entry index of each row
+    P_pred_e: np.ndarray  # (E, d, d)
+    L_e: np.ndarray  # (E, d, d) Cholesky factor of P_pred, or psd_sqrt's root where not chol_e
+    chol_e: np.ndarray  # (E,) bool
+    P_e: np.ndarray  # (E, d, d)
+    W_e: np.ndarray  # (E, d, d), M^-1 L'
+    logdet_M_e: np.ndarray  # (E,)
+
+    def __len__(self) -> int:
+        return self.m.shape[0]
+
+    @property
+    def P_pred(self) -> np.ndarray:
+        return self.P_pred_e[self.cov]
+
+    @property
+    def P(self) -> np.ndarray:
+        return self.P_e[self.cov]
 
 
 @dataclass(frozen=True)
@@ -185,11 +199,6 @@ class SeasonalOffsets:
         object.__setattr__(self, "s", arr)
         if arr.ndim != 1:
             raise ConfigError("seasonal offsets must be a 1-D vector")
-
-
-def initial_state(theta: StateSpaceParams) -> FilterState:
-    """The k=0 pseudo-state carrying the prior moments (m0, P0)."""
-    return FilterState(k=0, m_pred=theta.m0, P_pred=theta.P0, m=theta.m0, P=theta.P0)
 
 
 @dataclass(frozen=True)
@@ -248,121 +257,62 @@ def _observed_rows(theta: StateSpaceParams, target_missing: bool, step: int) -> 
     return _ObservedRows(rows=rows, Hw=Hw, J=J, logdet_R=logdet_R, inv_sd=inv_sd, low_R=low_R)
 
 
-def _filter_rows(
-    Y: np.ndarray,
-    s: np.ndarray | None,
-    prev: FilterState,
-    theta: StateSpaceParams,
-    obs: _ObservedRows,
-) -> tuple[list[FilterState], float]:
-    """Filter the columns of ``Y`` from ``prev``, conditioning each on the rows of ``obs``.
+def _covariance_half(
+    P: np.ndarray, theta: StateSpaceParams, obs: _ObservedRows, n_cols: int, k0: int, entries: list
+) -> np.ndarray:
+    """Append the distinct covariance entries of the ``n_cols`` steps after time index ``k0``.
 
-    ``s`` holds one seasonal offset per column, or is None.  Information form:
-    with P_pred = L L' and M = I + L' J L (d x d),
-
-        P = L W,   m = m_pred + L a,   W = M^-1 L',   a = W (z - J m_pred),
-
-    where z = Hw' yw is the whitened observation projected on the state.  The
-    covariance half (P_pred, L, M's factor, W, P, log det M) depends on theta
-    alone; once a step's P_pred equals the previous one bitwise, every later
-    covariance quantity would repeat too, so the remaining steps reuse the same
-    arrays and run only the mean update.  By Woodbury and the determinant
-    lemma log det S = log det R + log det M, and v' S^-1 v equals
-    |vw - Hw L a|^2 + |a|^2 for the whitened innovation vw, a sum of squares
-    free of cancellation.  Returns the states and their log-likelihood.
+    Starts from the filtered covariance P.  Information form: with
+    P_pred = L L' and M = I + L' J L (d x d), P = L W and W = M^-1 L'.  Each
+    entry is (P_pred, L, whether L is a Cholesky factor, P, W, log det M).
+    The loop stops at the first P_pred equal bitwise to an earlier one of the
+    segment; returns the entry index of each step, filled by phase from there.
     """
-    A, Q, J, Hw = theta.A, theta.Q, obs.J, obs.Hw
-    Yw = obs.whiten(Y[obs.rows] if s is None else Y[obs.rows] - s)
-    Z = Yw.T @ Hw  # row j is z for column j
-    states: list[FilterState] = []
-    a_all, delta_all = [], []
-    logdet_M = 0.0
-    m, P, P_pred = prev.m, prev.P, None
-    steady = False
-    for j in range(Y.shape[1]):
-        k = prev.k + 1 + j
-        m_pred = A @ m
-        if not steady:
-            P_new = symmetrize(A @ P @ A.T + Q)
-            steady = P_pred is not None and np.array_equal(P_new, P_pred)
-        if not steady:
-            P_pred = P_new
-            low_pred = try_cholesky(P_pred)  # no gate here: the smoother gates P_pred
-            L = psd_sqrt(P_pred) if low_pred is None else low_pred
-            M = L.T @ J @ L  # potrf reads only the lower triangle: no symmetrize needed
-            M.flat[:: M.shape[0] + 1] += 1.0
-            low = spd_cholesky(M, _INNOVATION, step=k)
-            # Whitened by R, S is I + Hw P_pred Hw': its spectrum is M's up to
-            # unit eigenvalues, so M's factor plus a unit diagonal gates S as a
-            # dense factor of S would be gated.
-            check_factor_diag(np.append(low.diagonal(), 1.0), _INNOVATION, step=k)
-            W = spd_solve(low, L.T)
-            P = symmetrize(L @ W)
-            logdet_step = 2.0 * float(np.log(low.diagonal()).sum())
-        logdet_M += logdet_step
-        a = W @ (Z[j] - J @ m_pred)
-        delta = L @ a
-        m = m_pred + delta
-        states.append(FilterState(k=k, m_pred=m_pred, P_pred=P_pred, m=m, P=P, low_pred=low_pred))
-        a_all.append(a)
-        delta_all.append(delta)
-    m_preds = np.array([state.m_pred for state in states])
-    resid = (Yw - Hw @ m_preds.T) - Hw @ np.array(delta_all).T
-    a_arr = np.array(a_all)
-    n_rows, n_cols = Yw.shape
-    loglik = -0.5 * (
-        n_cols * (n_rows * _LOG_2PI + obs.logdet_R)
-        + logdet_M
-        + float(np.vdot(resid, resid) + np.vdot(a_arr, a_arr))
-    )
-    return states, loglik
+    A, Q, J = theta.A, theta.Q, obs.J
+    e0 = len(entries)
+    cov = np.arange(e0, e0 + n_cols)
+    seen: dict[bytes, int] = {}
+    for j in range(n_cols):
+        P_pred = symmetrize(A @ P @ A.T + Q)
+        first = seen.setdefault(P_pred.tobytes(), j)
+        if first != j:
+            cov[j:] = e0 + first + np.arange(n_cols - j) % (j - first)
+            break
+        k = k0 + 1 + j
+        low_pred = try_cholesky(P_pred)  # no gate here: the smoother gates P_pred
+        L = psd_sqrt(P_pred) if low_pred is None else low_pred
+        M = L.T @ J @ L  # potrf reads only the lower triangle: no symmetrize needed
+        M.flat[:: M.shape[0] + 1] += 1.0
+        low = try_cholesky(M)
+        if low is None:
+            raise NumericalError(f"{_INNOVATION} is not positive definite", step=k)
+        # Whitened by R, S is I + Hw P_pred Hw': its spectrum is M's up to
+        # unit eigenvalues, so M's factor plus a unit diagonal gates S as a
+        # dense factor of S would be gated.
+        check_factor_diag(np.append(low.diagonal(), 1.0), _INNOVATION, step=k)
+        W = spd_solve(low, L.T)
+        P = symmetrize(L @ W)
+        logdet_M = 2.0 * float(np.log(low.diagonal()).sum())
+        entries.append((P_pred, L, low_pred is not None, P, W, logdet_M))
+    return cov
 
 
-def kalman_step(
-    y_k: np.ndarray,
-    prev: FilterState,
-    theta: StateSpaceParams,
-    s_k: float | None = None,
-) -> FilterState:
-    """One forward update: predict from ``prev`` then condition on ``y_k``."""
-    return _single_step(y_k, prev, theta, s_k, target_missing=False)
+def _linear_scan(F: np.ndarray, g: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Rows x_k = F_k x_{k-1} + g_k for k = 0..n-1, from x_{-1} = x0, as one inclusive scan.
 
-
-def kalman_step_missing_target(
-    y_k: np.ndarray,
-    prev: FilterState,
-    theta: StateSpaceParams,
-    s_k: float | None = None,
-) -> FilterState:
-    """Forward update treating the target coordinate (row 0) of ``y_k`` as missing.
-
-    The target's observation-noise variance is sent to infinity, so its row
-    carries no information: the update conditions on the donor rows alone,
-    which equals filtering the donor-only model with H2 = H[1:] and
-    R2 = R[1:, 1:].
+    Hillis-Steele doubling (Blelloch 1990): after the round with shift s, row k
+    holds the composition of steps k-2s+1..k, and ``Fs`` the composed F of the
+    rows a later round reads, so about log2(n) batched rounds replace the loop.
     """
-    return _single_step(y_k, prev, theta, s_k, target_missing=True)
-
-
-def _single_step(y_k, prev, theta, s_k, target_missing: bool) -> FilterState:
-    obs = _observed_rows(theta, target_missing, step=prev.k + 1)
-    y = np.asarray(y_k, dtype=float)[:, None]
-    states, _ = _filter_rows(y, None if s_k is None else np.array([s_k], dtype=float), prev, theta, obs)
-    return states[0]
-
-
-def rts_step(
-    filtered_k: FilterState,
-    m_s_next: np.ndarray,
-    P_s_next: np.ndarray,
-    theta: StateSpaceParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One backward smoothing update; returns (m_s, P_s, G) at index k."""
-    A = theta.A
-    P_pred = symmetrize(A @ filtered_k.P @ A.T + theta.Q)
-    nxt = FilterState(filtered_k.k + 1, A @ filtered_k.m, P_pred, m_s_next, P_s_next)
-    smoothed = _smooth([filtered_k, nxt], theta)
-    return smoothed.m_s[0], smoothed.P_s[0], smoothed.G[0]
+    x = g.copy()
+    x[0] += F[0] @ x0
+    Fs = F[1:]
+    shift = 1
+    while shift < len(x):
+        x[shift:] += (Fs @ x[:-shift, :, None])[:, :, 0]
+        Fs = Fs[shift:] @ Fs[:-shift]
+        shift *= 2
+    return x
 
 
 def _seasonal_array(seasonal, k_total: int) -> np.ndarray | None:
@@ -379,13 +329,18 @@ def _forward(
     theta: StateSpaceParams,
     seasonal=None,
     missing_target_from: int | None = None,
-) -> tuple[list[FilterState], float]:
-    """Forward pass returning filtered states and the innovation log-likelihood.
+) -> tuple[FilteredTrajectory, float]:
+    """Forward pass returning the filtered trajectory and the innovation log-likelihood.
 
-    At missing-target steps only the donor block contributes to the likelihood
-    (the target coordinate has no finite-noise model there).  Each row set is
-    filtered as one segment: the covariance recursion restarts where the row
-    set changes.
+    Each row set is filtered as one segment: the covariance recursion restarts
+    where the row set changes.  The mean half of a segment is
+    m_k = F_k m_{k-1} + g_k with F = (I - L W J) A and g_k = L W z_k, where
+    z = Hw' yw is the whitened observation projected on the state, run as one
+    scan; then m_pred = A m and a = W (z - J m_pred).  By Woodbury and the
+    determinant lemma log det S = log det R + log det M, and v' S^-1 v equals
+    |vw - Hw L a|^2 + |a|^2 for the whitened innovation vw, a sum of squares.
+    At missing-target steps only the donor block contributes to the
+    likelihood.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] < 1:
@@ -396,19 +351,42 @@ def _forward(
     s = _seasonal_array(seasonal, k_total)
     cut = k_total if missing_target_from is None else min(max(0, missing_target_from), k_total)
 
-    states: list[FilterState] = []
-    state = initial_state(theta)
-    loglik = 0.0
+    entries: list[tuple] = []
+    segments = []
+    P = theta.P0
     for start, stop, missing in ((0, cut, False), (cut, k_total, True)):
-        if start == stop:
-            continue
-        obs = _observed_rows(theta, missing, step=start + 1)
-        seg_s = None if s is None else s[start:stop]
-        segment, ll = _filter_rows(Y[:, start:stop], seg_s, state, theta, obs)
-        states += segment
-        loglik += ll
-        state = segment[-1]
-    return states, loglik
+        if start < stop:
+            obs = _observed_rows(theta, missing, step=start + 1)
+            cov = _covariance_half(P, theta, obs, stop - start, start, entries)
+            segments.append((slice(start, stop), obs, cov))
+            P = entries[cov[-1]][3]
+    P_pred_e, L_e, chol_e, P_e, W_e, logdet_M_e = (np.array(x) for x in zip(*entries))
+
+    A, LW = theta.A, L_e @ W_e
+    m_pred, m = np.empty((k_total, theta.d)), np.empty((k_total, theta.d))
+    m_last, loglik = theta.m0, 0.0
+    for cols, obs, cov in segments:
+        Hw, J = obs.Hw, obs.J
+        Yw = obs.whiten(Y[obs.rows, cols] if s is None else Y[obs.rows, cols] - s[cols])
+        Z = Yw.T @ Hw  # row j is z for column j
+        F = (np.eye(theta.d) - LW[cov] @ J) @ A
+        m[cols] = _linear_scan(F, np.einsum("kij,kj->ki", LW[cov], Z), m_last)
+        m_pred[cols] = np.vstack([m_last, m[cols][:-1]]) @ A.T
+        a = np.einsum("kij,kj->ki", W_e[cov], Z - m_pred[cols] @ J)
+        delta = np.einsum("kij,kj->ki", L_e[cov], a)
+        resid = (Yw - Hw @ m_pred[cols].T) - Hw @ delta.T
+        loglik -= 0.5 * (
+            len(cov) * (Yw.shape[0] * _LOG_2PI + obs.logdet_R)
+            + float(logdet_M_e[cov].sum())
+            + float(np.vdot(resid, resid) + np.vdot(a, a))
+        )
+        m_last = m[cols.stop - 1]
+    cov = np.concatenate([cov for _, _, cov in segments])
+    filtered = FilteredTrajectory(
+        m_pred=m_pred, m=m, cov=cov, P_pred_e=P_pred_e, L_e=L_e, chol_e=chol_e,
+        P_e=P_e, W_e=W_e, logdet_M_e=logdet_M_e,
+    )
+    return filtered, loglik
 
 
 def filter_pass(
@@ -416,58 +394,73 @@ def filter_pass(
     theta: StateSpaceParams,
     seasonal=None,
     missing_target_from: int | None = None,
-) -> list[FilterState]:
+) -> FilteredTrajectory:
     """Run the forward recursion over the columns of ``Y``.
 
     ``missing_target_from`` is the 0-based column index from which the target
     row is treated as missing; earlier columns use the standard update.
+    Returns the K predicted and filtered moments as one
+    :class:`FilteredTrajectory`.
     """
-    states, _ = _forward(Y, theta, seasonal, missing_target_from)
-    return states
+    filtered, _ = _forward(Y, theta, seasonal, missing_target_from)
+    return filtered
 
 
-def smooth_pass(filtered: list[FilterState], theta: StateSpaceParams) -> SmoothedTrajectory:
-    """Backward RTS recursion over a filtered trajectory, including index 0."""
-    if not filtered:
+def smooth_pass(filtered: FilteredTrajectory, theta: StateSpaceParams) -> SmoothedTrajectory:
+    """Backward RTS recursion over a filtered trajectory, including index 0.
+
+    Step k (0..K-1) pairs the filtered P_k (P0 at k = 0) with P_pred_{k+1}.
+    The gain G_k = P_k A' P_pred_{k+1}^-1 is computed once per distinct pair
+    of covariance entries, from the factor of P_pred the filter already
+    computed; each factor is gated once, at the latest step that uses it, so
+    a failure names the step the backward loop would reach first.  The
+    smoothed means follow m_s_k = G_k m_s_{k+1} + (m_k - G_k m_pred_{k+1}),
+    run as one reverse scan.  P_s is a backward loop until a step's inputs
+    (its pair and P_s_{k+1}) equal a later step's bitwise; from there P_s
+    repeats with the period between the two for as long as the pairs do, and
+    that stretch is filled at once.  Returns a :class:`SmoothedTrajectory`.
+    """
+    k_total = len(filtered)
+    if k_total == 0:
         raise ConfigError("smooth_pass needs a nonempty filtered trajectory")
-    return _smooth([initial_state(theta), *filtered], theta)
+    A, cov = theta.A, filtered.cov
+    P_k = np.concatenate([theta.P0[None], filtered.P_e])  # row e + 1 is entry e
+    prev = np.concatenate([[0], cov[:-1] + 1])  # row of P_k at step k
 
-
-def _smooth(states: list[FilterState], theta: StateSpaceParams) -> SmoothedTrajectory:
-    """Backward RTS recursion over ``states``; the last one is kept as filtered.
-
-    The gain G_k = P_k A' P_pred_{k+1}^-1 uses the prediction, and its factor,
-    that the filter already computed, gated here.  Where the filter reached its
-    fixed point, consecutive states share their P and P_pred arrays: G_k then
-    repeats G_{k+1}, and P_s_k repeats P_s_{k+1} once that equals P_s_{k+2}
-    bitwise, since every input of the update is the same.
-    """
-    A = theta.A
-    k_total = len(states) - 1
-    m_s = np.zeros((k_total + 1, theta.d))
-    P_s = np.zeros((k_total + 1, theta.d, theta.d))
-    G = np.zeros((k_total, theta.d, theta.d))
-    m_s[k_total] = states[-1].m
-    P_s[k_total] = states[-1].P
-    steady = False  # P_s_{k+1} equals P_s_{k+2}
-    for k in range(k_total - 1, -1, -1):
-        cur, nxt = states[k], states[k + 1]
-        repeat = k + 2 <= k_total and cur.P is nxt.P and nxt.P_pred is states[k + 2].P_pred
-        if repeat:
-            G[k] = G[k + 1]
+    low_e = filtered.L_e.copy()
+    distinct, rev_first = np.unique(cov[::-1], return_index=True)
+    last = k_total - 1 - rev_first
+    for i in np.argsort(-last):
+        e, k = distinct[i], int(last[i])
+        if filtered.chol_e[e]:
+            check_factor_diag(low_e[e].diagonal(), _PREDICTION, step=k)
         else:
-            low = nxt.low_pred
-            if low is None:
-                low = spd_cholesky(nxt.P_pred, _PREDICTION, step=cur.k)
-            else:
-                check_factor_diag(low.diagonal(), _PREDICTION, step=cur.k)
-            G[k] = spd_solve(low, A @ cur.P).T
-        m_s[k] = cur.m + G[k] @ (m_s[k + 1] - nxt.m_pred)
-        steady = repeat and (steady or np.array_equal(P_s[k + 1], P_s[k + 2]))
-        if steady:
-            P_s[k] = P_s[k + 1]
-        else:
-            P_s[k] = symmetrize(cur.P + G[k] @ (P_s[k + 1] - nxt.P_pred) @ G[k].T)
+            low_e[e] = spd_cholesky(filtered.P_pred_e[e], _PREDICTION, step=k)
+    pair = prev * len(low_e) + cov
+    _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
+    G = np.array([spd_solve(low_e[cov[k]], A @ P_k[prev[k]]).T for k in first])[inverse]
+
+    m_s = np.empty((k_total + 1, theta.d))
+    m_s[k_total] = filtered.m[-1]
+    b = np.vstack([theta.m0, filtered.m[:-1]]) - (G @ filtered.m_pred[:, :, None])[:, :, 0]
+    m_s[:k_total] = _linear_scan(G[::-1], b[::-1], filtered.m[-1])[::-1]
+
+    P_s = np.empty((k_total + 1, theta.d, theta.d))
+    P_s[k_total] = filtered.P_e[cov[-1]]
+    seen: dict[tuple, int] = {}
+    k = k_total - 1
+    while k >= 0:
+        later = seen.setdefault((pair[k], P_s[k + 1].tobytes()), k)
+        if later == k:
+            gap = P_s[k + 1] - filtered.P_pred_e[cov[k]]
+            P_s[k] = symmetrize(P_k[prev[k]] + G[k] @ gap @ G[k].T)
+            k -= 1
+            continue
+        period = later - k
+        breaks = np.flatnonzero(pair[: k + 1] != pair[period : k + 1 + period])
+        start = breaks[-1] + 1 if breaks.size else 0
+        P_s[start : k + 1] = P_s[k + 1 + (np.arange(start - k - 1, 0)) % period]
+        k = start - 1
     return SmoothedTrajectory(m_s=m_s, P_s=P_s, G=G)
 
 

@@ -4,7 +4,9 @@ These deliberately avoid the recursive filter/smoother code paths: moments are
 obtained by building the joint Gaussian over all states and observations and
 conditioning directly, and the simplex regression oracle is a dense grid
 search.  They are slow and only suitable for tiny instances, except the
-simplex KKT check, which certifies a solution for any number of donors.
+simplex KKT check, which certifies a solution for any number of donors.  The
+plain per-step mean recursions are the exception: they are the loop the
+filter's and smoother's scans replace, kept as their reference.
 """
 
 from __future__ import annotations
@@ -138,6 +140,63 @@ def conditioned_moments(theta, Y, seasonal=None, missing_target_from=None):
         smooth_means.append(m)
         smooth_covs.append(c)
     return filt_means, filt_covs, smooth_means, smooth_covs
+
+
+def filter_mean_loop(theta, Y, filtered, missing_target_from=None, dtype=np.float64):
+    """Filtered means and log-likelihood by the plain per-step mean recursion.
+
+    The reference for the filter's scan.  It takes the covariance half (L, W
+    and log det M of each step) from ``filtered`` and runs
+
+        m_pred = A m,   a = W (z - J m_pred),   m = m_pred + L a
+
+    one step at a time in ``dtype``, with z = Hw' yw and J = Hw' Hw formed in
+    that dtype from the whitened observation rows.  Diagonal R only, so that a
+    ``np.longdouble`` run needs no factorization.  Returns (m_pred, m, loglik)
+    with row k for time index k+1.
+    """
+    Y = np.asarray(Y, dtype=float)
+    k_total = Y.shape[1]
+    A = theta.A.astype(dtype)
+    r = np.diag(theta.R).astype(dtype)
+    m = theta.m0.astype(dtype)
+    m_preds, means = np.empty((k_total, theta.d), dtype), np.empty((k_total, theta.d), dtype)
+    loglik = dtype(0.0)
+    for k in range(k_total):
+        rows = slice(1, None) if missing_target_from is not None and k >= missing_target_from else slice(None)
+        inv_sd = 1 / np.sqrt(r[rows])
+        Hw = inv_sd[:, None] * theta.H[rows].astype(dtype)
+        yw = inv_sd * Y[rows, k].astype(dtype)
+        e = filtered.cov[k]
+        L, W = filtered.L_e[e].astype(dtype), filtered.W_e[e].astype(dtype)
+        m_pred = A @ m
+        a = W @ (Hw.T @ yw - (Hw.T @ Hw) @ m_pred)
+        delta = L @ a
+        m = m_pred + delta
+        resid = yw - Hw @ m_pred - Hw @ delta
+        logdet_R = np.sum(np.log(r[rows]))
+        loglik -= 0.5 * (
+            yw.size * np.log(2 * np.pi, dtype=dtype) + logdet_R + dtype(filtered.logdet_M_e[e])
+            + resid @ resid + a @ a
+        )
+        m_preds[k], means[k] = m_pred, m
+    return m_preds, means, loglik
+
+
+def smoother_mean_loop(theta, m_filt, G, dtype=np.float64):
+    """Smoothed means by the plain backward recursion m_s_k = m_k + G_k (m_s_{k+1} - A m_k).
+
+    The reference for the smoother's reverse scan.  ``m_filt`` holds the
+    filtered means for time indices 1..K (m_0 is theta's m0) and ``G`` the
+    K gains; the recursion runs in ``dtype``.  Returns m_s for indices 0..K.
+    """
+    A = theta.A.astype(dtype)
+    means = np.vstack([theta.m0.astype(dtype), np.asarray(m_filt).astype(dtype)])
+    m_s = np.empty_like(means)
+    m_s[-1] = means[-1]
+    for k in range(len(means) - 2, -1, -1):
+        m_s[k] = means[k] + G[k].astype(dtype) @ (m_s[k + 1] - A @ means[k])
+    return m_s
 
 
 def simplex_grid_search(y, donors, step=1e-3):

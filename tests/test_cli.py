@@ -263,6 +263,19 @@ class TestBench:
         text_b = out_b.read_text().replace(str(out_b), "OUT")
         assert text_a == text_b
 
+    @pytest.mark.parametrize("wrap", [False, True], ids=["list", "object"])
+    def test_inline_regimes_json(self, tmp_path, wrap):
+        regimes = [{"name": "tiny", "d_true": 1, "n_units": 4, "t_total": 12, "t0": 8}]
+        text = json.dumps({"regimes": regimes} if wrap else regimes)
+        out = tmp_path / "bench.csv"
+        code = main([
+            "bench", "--regimes", text, "--methods", "sc",
+            "--replicates", "1", "--output", str(out), "--seed", "0",
+        ])
+        assert code == 0
+        rows = read_csv_rows(out)
+        assert [row["regime"] for row in rows] == ["tiny"]
+
 
 class TestParsing:
     def test_unknown_command_exits_1(self):

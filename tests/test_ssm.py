@@ -8,23 +8,54 @@ from hypothesis import strategies as st
 from tasc import (
     ConfigError,
     NumericalError,
+    SimulationConfig,
     StateSpaceParams,
     filter_pass,
     gen_panel,
-    initial_state,
-    kalman_step,
-    kalman_step_missing_target,
     log_likelihood,
     params_from_json,
     params_to_json,
-    rts_step,
+    simulate,
     smooth_pass,
 )
 
 from tasc._numeric import write_json
 from tasc.ssm import _params_doc
 
-from oracles import conditioned_moments, observed_log_density, random_theta
+from oracles import (
+    conditioned_moments,
+    filter_mean_loop,
+    observed_log_density,
+    random_theta,
+    smoother_mean_loop,
+)
+
+# An EM fit (d=3, n_iters=100, one restart, seed 0) to the README quick-start
+# panel (simulate seed 0, first 50 columns).  Its covariance recursion ends in
+# a last-ulp cycle of period 2 instead of a fixed point: P_pred of step k is
+# bitwise P_pred of step k - 2 from step 11 on, never that of step k - 1.
+_CYCLING_THETA = """
+{"d": 3, "n_obs": 12, "diag_noise": true, "A": [[-0.9246228825426848, -0.08285402156529784,
+0.11987898272927443], [-0.09494519938132093, 0.4119328800888532, 0.05931327747407319],
+[-0.2035749428997732, -0.35589797156052794, 0.13707424915618355]], "H":
+[[-0.13378977239352155, -0.08046299646639675, 0.03451210606844791], [0.06050870100476904,
+-0.21537340360257792, 0.049410787901187136], [-0.05936357602594098, -0.061772167078472676,
+0.0872747439133687], [0.14156142579213946, 0.00500255281302826, -0.06299954085602374],
+[-0.0591262364898036, 0.14601615170087096, 0.07559406238689477], [0.2280511037498307,
+0.0754772717333489, 0.0587981206581015], [-0.12675674877177923, -0.07901948642498355,
+-0.037092551076990124], [-0.04975557272655712, -0.06305814860966207, 0.012905812736112628],
+[-0.007046890077294937, 0.029667760987269833, -0.039756064207845956], [-0.19352183124963335,
+-0.055397189259476, -0.06770803953551831], [-0.2979326367998749, 0.17714216208480904,
+0.07105395597994], [0.12602461911605886, 0.09291684947502189, -0.05162626259352413]], "Q":
+[[0.13322165672138342, 0.0, 0.0], [0.0, 0.8250523540676064, 0.0], [0.0, 0.0,
+0.3778682804621924]], "R": [0.0061236821050602505, 0.00016569994745510574,
+0.0032913218912305215, 0.005929737511807705, 0.004947704433523804, 0.004034893668551885,
+0.002559551482320118, 0.004783891034225484, 0.002834498983230462, 0.0022052881707284727,
+0.003933630386712725, 0.00470322818290226], "m0": [-3.0485903801430596, 0.47466140711299615,
+-14.297603599459384], "P0": [[0.009531488789912756, 0.00409385485409823,
+0.05982550840126445], [0.00409385485409823, 0.02719018299980244, 0.05127893755741593],
+[0.05982550840126445, 0.05127893755741593, 0.4793193091252995]]}
+"""
 
 
 def scalar_theta(A=1.0, H=1.0, Q=0.0, R=1.0, m0=0.0, P0=1.0):
@@ -130,9 +161,9 @@ class TestKalmanStep:
     def test_scalar_conditioning_example(self):
         # Direct Gaussian conditioning: prior N(0,1), obs noise 1, y=1.
         theta = scalar_theta()
-        st = kalman_step(np.array([1.0]), initial_state(theta), theta)
-        assert np.allclose(st.m, 0.5)
-        assert np.allclose(st.P, 0.5)
+        st = filter_pass(np.array([[1.0]]), theta)
+        assert np.allclose(st.m[0], 0.5)
+        assert np.allclose(st.P[0], 0.5)
 
     def test_zero_observation_matrix_is_uninformative(self):
         rng = np.random.default_rng(1)
@@ -141,15 +172,15 @@ class TestKalmanStep:
             A=theta.A, H=np.zeros((3, 2)), Q=theta.Q, R=theta.R,
             m0=theta.m0, P0=theta.P0, diag_noise=False,
         )
-        st = kalman_step(rng.standard_normal(3), initial_state(theta), theta)
-        assert np.allclose(st.m, st.m_pred)
-        assert np.allclose(st.P, st.P_pred)
+        st = filter_pass(rng.standard_normal((3, 1)), theta)
+        assert np.allclose(st.m[0], st.m_pred[0])
+        assert np.allclose(st.P[0], st.P_pred[0])
 
     def test_pure_prediction(self):
         theta = scalar_theta(A=2.0, H=0.0, Q=0.0, P0=1.0, m0=0.7)
-        st = kalman_step(np.array([0.0]), initial_state(theta), theta)
-        assert np.allclose(st.m, 1.4)
-        assert np.allclose(st.P, 4.0)
+        st = filter_pass(np.array([[0.0]]), theta)
+        assert np.allclose(st.m[0], 1.4)
+        assert np.allclose(st.P[0], 4.0)
 
     def test_singular_innovation_covariance_raises_with_step(self):
         theta = StateSpaceParams(
@@ -157,13 +188,13 @@ class TestKalmanStep:
             R=np.diag([1e-13, 10.0]), m0=[0.0], P0=[[1.0]],
         )
         with pytest.raises(NumericalError) as err:
-            kalman_step(np.zeros(2), initial_state(theta), theta)
+            filter_pass(np.zeros((2, 1)), theta)
         assert err.value.step == 1
 
     def test_seasonal_offset_shifts_innovation(self):
         theta = scalar_theta()
-        plain = kalman_step(np.array([1.0]), initial_state(theta), theta)
-        shifted = kalman_step(np.array([3.0]), initial_state(theta), theta, s_k=2.0)
+        plain = filter_pass(np.array([[1.0]]), theta)
+        shifted = filter_pass(np.array([[3.0]]), theta, seasonal=[2.0])
         assert np.allclose(plain.m, shifted.m)
         assert np.allclose(plain.P, shifted.P)
 
@@ -175,28 +206,26 @@ class TestMissingTargetStep:
             d = int(rng.integers(1, 4))
             n = int(rng.integers(2, 5))
             theta = random_theta(rng, d, n)
-            y = rng.standard_normal(n)
-            prev = initial_state(theta)
-            full = kalman_step_missing_target(y, prev, theta)
+            y = rng.standard_normal((n, 1))
+            full = filter_pass(y, theta, missing_target_from=0)
 
             reduced = StateSpaceParams(
                 A=theta.A, H=theta.H[1:], Q=theta.Q, R=theta.R[1:, 1:],
                 m0=theta.m0, P0=theta.P0, diag_noise=False,
             )
-            red = kalman_step(y[1:], initial_state(reduced), reduced)
+            red = filter_pass(y[1:], reduced)
             assert np.max(np.abs(full.m - red.m)) <= 1e-12
             assert np.max(np.abs(full.P - red.P)) <= 1e-12
 
     def test_target_value_is_ignored(self):
         rng = np.random.default_rng(3)
         theta = random_theta(rng, 2, 3)
-        y = rng.standard_normal(3)
-        prev = initial_state(theta)
+        y = rng.standard_normal((3, 1))
         y_a, y_b = y.copy(), y.copy()
         y_a[0] = 0.0
         y_b[0] = 1e6
-        st_a = kalman_step_missing_target(y_a, prev, theta)
-        st_b = kalman_step_missing_target(y_b, prev, theta)
+        st_a = filter_pass(y_a, theta, missing_target_from=0)
+        st_b = filter_pass(y_b, theta, missing_target_from=0)
         assert np.array_equal(st_a.m, st_b.m)
         assert np.array_equal(st_a.P, st_b.P)
 
@@ -207,21 +236,26 @@ class TestMissingTargetStep:
             A=[[1.0]], H=[[1.0], [1.0]], Q=[[0.0]], R=np.diag([3.7, 1.0]),
             m0=[0.0], P0=[[1.0]],
         )
-        st = kalman_step_missing_target(np.array([np.nan, 1.0]), initial_state(theta), theta)
-        assert np.allclose(st.m, 0.5)
-        assert np.allclose(st.P, 0.5)
+        st = filter_pass(np.array([[np.nan], [1.0]]), theta, missing_target_from=0)
+        assert np.allclose(st.m[0], 0.5)
+        assert np.allclose(st.P[0], 0.5)
 
 
 class TestRtsStep:
     def test_zero_correction(self):
+        # An uninformative observation (H = 0) leaves m_s_1 at m_pred_1 and
+        # P_s_1 at P_pred_1, so the smoother step back to index 0 corrects
+        # nothing: the smoothed initial moments are the prior's.
         rng = np.random.default_rng(4)
-        theta = random_theta(rng, 2, 3)
-        filt = filter_pass(rng.standard_normal((3, 4)), theta)
-        k = 1
-        nxt = filt[k + 1]
-        m_s, P_s, G = rts_step(filt[k], nxt.m_pred, nxt.P_pred, theta)
-        assert np.allclose(m_s, filt[k].m)
-        assert np.allclose(P_s, filt[k].P)
+        base = random_theta(rng, 2, 3)
+        theta = StateSpaceParams(
+            A=base.A, H=np.zeros((3, 2)), Q=base.Q, R=base.R,
+            m0=base.m0, P0=base.P0, diag_noise=False,
+        )
+        filt = filter_pass(rng.standard_normal((3, 1)), theta)
+        smoothed = smooth_pass(filt, theta)
+        assert np.allclose(smoothed.m_s[0], theta.m0)
+        assert np.allclose(smoothed.P_s[0], theta.P0)
 
     def test_zero_transition_decouples(self):
         rng = np.random.default_rng(5)
@@ -234,17 +268,17 @@ class TestRtsStep:
         filt = filter_pass(Y, theta)
         smoothed = smooth_pass(filt, theta)
         assert np.allclose(smoothed.G, 0.0)
-        for k, st in enumerate(filt, start=1):
-            assert np.allclose(smoothed.m_s[k], st.m)
-            assert np.allclose(smoothed.P_s[k], st.P)
+        for k in range(1, len(filt) + 1):
+            assert np.allclose(smoothed.m_s[k], filt.m[k - 1])
+            assert np.allclose(smoothed.P_s[k], filt.P[k - 1])
 
     def test_single_step_base_case(self):
         rng = np.random.default_rng(6)
         theta = random_theta(rng, 2, 2)
         filt = filter_pass(rng.standard_normal((2, 1)), theta)
         smoothed = smooth_pass(filt, theta)
-        assert np.array_equal(smoothed.m_s[1], filt[0].m)
-        assert np.array_equal(smoothed.P_s[1], filt[0].P)
+        assert np.array_equal(smoothed.m_s[1], filt.m[0])
+        assert np.array_equal(smoothed.P_s[1], filt.P[0])
 
     def test_singular_prediction_covariance_raises(self):
         theta = StateSpaceParams(
@@ -257,26 +291,33 @@ class TestRtsStep:
 
 
 class TestFilterPass:
-    @pytest.mark.parametrize(
-        "step, missing_target_from",
-        [(kalman_step, None), (kalman_step_missing_target, 0)],
-        ids=["full", "missing_target"],
-    )
-    def test_single_column_matches_single_step(self, step, missing_target_from):
+    @pytest.mark.parametrize("missing_target_from", [None, 0], ids=["full", "missing_target"])
+    def test_single_column_matches_single_step(self, missing_target_from):
+        # A one-column pass is the first step of a longer pass.  The covariance
+        # half is the same arithmetic, so P agrees bit for bit; the mean half
+        # whitens and projects all columns in one product, whose summation order
+        # BLAS picks by shape, so m agrees to rounding.
         rng = np.random.default_rng(7)
         theta = random_theta(rng, 2, 3)
-        y = rng.standard_normal((3, 1))
-        states = filter_pass(y, theta, missing_target_from=missing_target_from)
-        single = step(y[:, 0], initial_state(theta), theta)
+        Y = rng.standard_normal((3, 4))
+        states = filter_pass(Y[:, :1], theta, missing_target_from=missing_target_from)
+        longer = filter_pass(Y, theta, missing_target_from=missing_target_from)
         assert len(states) == 1
-        assert np.array_equal(states[0].m, single.m)
-        assert np.array_equal(states[0].P, single.P)
+        assert np.max(np.abs(states.m[0] - longer.m[0])) <= 4 * np.finfo(float).eps * np.max(np.abs(longer.m[0]))
+        assert np.array_equal(states.P[0], longer.P[0])
 
     def test_output_indices_monotone(self):
         rng = np.random.default_rng(8)
         theta = random_theta(rng, 2, 3)
-        states = filter_pass(rng.standard_normal((3, 6)), theta)
-        assert [st.k for st in states] == [1, 2, 3, 4, 5, 6]
+        Y = rng.standard_normal((3, 6))
+        states = filter_pass(Y, theta)
+        assert len(states) == 6
+        # Row k is time index k + 1: it is the last row of the pass over the
+        # first k + 1 columns.
+        for k in range(6):
+            prefix = filter_pass(Y[:, : k + 1], theta)
+            assert np.allclose(prefix.m[-1], states.m[k], rtol=1e-14, atol=0.0)
+            assert np.array_equal(prefix.P[-1], states.P[k])
 
     def test_noiseless_donor_tracking(self):
         # Missing target throughout; tiny Q/R2 make the filter lock onto the
@@ -296,7 +337,7 @@ class TestFilterPass:
         )
         states = filter_pass(sim.panel.values, theta_filter, missing_target_from=0)
         latent = sim.latent
-        err = max(np.max(np.abs(st.m - latent[:, j])) for j, st in enumerate(states[3:], start=3))
+        err = max(np.max(np.abs(states.m[j] - latent[:, j])) for j in range(3, len(states)))
         assert err < 1e-4
 
     def test_covariances_symmetric_psd(self):
@@ -306,9 +347,9 @@ class TestFilterPass:
             Y = rng.standard_normal((theta.n_obs, 5))
             states = filter_pass(Y, theta, missing_target_from=3)
             smoothed = smooth_pass(states, theta)
-            for st in states:
-                assert np.max(np.abs(st.P - st.P.T)) <= 1e-12
-                assert np.linalg.eigvalsh(st.P).min() >= -1e-9
+            for P in states.P:
+                assert np.max(np.abs(P - P.T)) <= 1e-12
+                assert np.linalg.eigvalsh(P).min() >= -1e-9
             for k in range(len(smoothed)):
                 assert np.max(np.abs(smoothed.P_s[k] - smoothed.P_s[k].T)) <= 1e-12
                 assert np.linalg.eigvalsh(smoothed.P_s[k]).min() >= -1e-9
@@ -326,9 +367,9 @@ class TestOracleEquivalence:
             states = filter_pass(Y, theta)
             smoothed = smooth_pass(states, theta)
             fm, fc, sm, sc = conditioned_moments(theta, Y)
-            for k, st in enumerate(states):
-                assert np.max(np.abs(st.m - fm[k])) <= 1e-8
-                assert np.max(np.abs(st.P - fc[k])) <= 1e-8
+            for k in range(k_total):
+                assert np.max(np.abs(states.m[k] - fm[k])) <= 1e-8
+                assert np.max(np.abs(states.P[k] - fc[k])) <= 1e-8
             for k in range(k_total + 1):
                 assert np.max(np.abs(smoothed.m_s[k] - sm[k])) <= 1e-8
                 assert np.max(np.abs(smoothed.P_s[k] - sc[k])) <= 1e-8
@@ -345,8 +386,8 @@ class TestOracleEquivalence:
             states = filter_pass(Y, theta, missing_target_from=cut)
             smoothed = smooth_pass(states, theta)
             fm, fc, sm, sc = conditioned_moments(theta, Y, missing_target_from=cut)
-            for k, st in enumerate(states):
-                assert np.max(np.abs(st.m - fm[k])) <= 1e-8
+            for k in range(k_total):
+                assert np.max(np.abs(states.m[k] - fm[k])) <= 1e-8
             for k in range(k_total + 1):
                 assert np.max(np.abs(smoothed.m_s[k] - sm[k])) <= 1e-8
                 assert np.max(np.abs(smoothed.P_s[k] - sc[k])) <= 1e-8
@@ -368,9 +409,9 @@ class TestOracleEquivalence:
 
         states = filter_pass(Y, theta, missing_target_from=cut)
         fm, fc, _, _ = conditioned_moments(theta, Y, missing_target_from=cut)
-        for k, state in enumerate(states):
-            assert np.max(np.abs(state.m - fm[k])) <= 1e-8
-            assert np.max(np.abs(state.P - fc[k])) <= 1e-8
+        for k in range(k_total):
+            assert np.max(np.abs(states.m[k] - fm[k])) <= 1e-8
+            assert np.max(np.abs(states.P[k] - fc[k])) <= 1e-8
         ll = log_likelihood(Y, theta, missing_target_from=cut)
         ref = observed_log_density(theta, Y, missing_target_from=cut)
         assert abs(ll - ref) <= 1e-9 * max(1.0, abs(ref))
@@ -387,18 +428,18 @@ class TestOracleEquivalence:
         states = filter_pass(Y, theta, missing_target_from=cut)
         smoothed = smooth_pass(states, theta)
 
-        # Reuse shows as consecutive states sharing one P array; once it starts,
-        # it lasts to the end of the segment.
-        reused = [k for k in range(1, k_total) if states[k].P is states[k - 1].P]
+        # Reuse shows as consecutive rows sharing one covariance entry; once it
+        # starts, it lasts to the end of the segment.
+        reused = [k for k in range(1, k_total) if states.cov[k] == states.cov[k - 1]]
         for start, stop in ((0, k_total),) if cut is None else ((0, cut), (cut, k_total)):
             first = min(k for k in reused if start < k < stop)
             assert all(k in reused for k in range(first, stop))
         assert any(np.array_equal(smoothed.P_s[k], smoothed.P_s[k + 1]) for k in range(k_total))
 
         fm, fc, sm, sc = conditioned_moments(theta, Y, missing_target_from=cut)
-        for k, state in enumerate(states):
-            assert np.max(np.abs(state.m - fm[k])) <= 1e-8
-            assert np.max(np.abs(state.P - fc[k])) <= 1e-8
+        for k in range(k_total):
+            assert np.max(np.abs(states.m[k] - fm[k])) <= 1e-8
+            assert np.max(np.abs(states.P[k] - fc[k])) <= 1e-8
         for k in range(k_total + 1):
             assert np.max(np.abs(smoothed.m_s[k] - sm[k])) <= 1e-8
             assert np.max(np.abs(smoothed.P_s[k] - sc[k])) <= 1e-8
@@ -413,9 +454,68 @@ class TestOracleEquivalence:
             Y = rng.standard_normal((3, 5))
             states = filter_pass(Y, theta)
             smoothed = smooth_pass(states, theta)
-            for k, st in enumerate(states, start=1):
-                gap = st.P - smoothed.P_s[k]
+            for k in range(1, len(states) + 1):
+                gap = states.P[k - 1] - smoothed.P_s[k]
                 assert np.linalg.eigvalsh(gap).min() >= -1e-9
+
+
+class TestMeanScan:
+    """The scans of the filter and smoother means against the plain per-step loop."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_scan_error_within_loop_error_against_long_double(self, data):
+        d = data.draw(st.integers(1, 4), label="d")
+        n = data.draw(st.integers(1, 8), label="N")
+        k_total = data.draw(st.integers(1, 1000), label="K")
+        rho = data.draw(st.floats(0.0, 1.1), label="spectral radius of A")
+        cut = None if n == 1 else data.draw(st.one_of(st.none(), st.integers(0, k_total)), label="cut")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        A = rng.standard_normal((d, d))
+        A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
+        theta = StateSpaceParams(
+            A=A, H=rng.standard_normal((n, d)), Q=np.diag(rng.uniform(0.1, 1.0, size=d)),
+            R=np.diag(10.0 ** rng.uniform(-6.0, 5.0, size=n)), m0=rng.standard_normal(d),
+            P0=np.eye(d), diag_noise=True,
+        )
+        Y = rng.standard_normal((n, k_total))
+        filtered = filter_pass(Y, theta, missing_target_from=cut)
+        smoothed = smooth_pass(filtered, theta)
+
+        _, m_loop, ll_loop = filter_mean_loop(theta, Y, filtered, cut)
+        _, m_ref, ll_ref = filter_mean_loop(theta, Y, filtered, cut, dtype=np.longdouble)
+        ms_loop = smoother_mean_loop(theta, m_loop, smoothed.G)
+        ms_ref = smoother_mean_loop(theta, m_ref, smoothed.G, dtype=np.longdouble)
+        for got, loop, ref in ((filtered.m, m_loop, m_ref), (smoothed.m_s, ms_loop, ms_ref)):
+            err_loop = float(np.max(np.abs(loop - ref)))
+            err_scan = float(np.max(np.abs(got - ref)))
+            assert err_scan <= 10.0 * err_loop + 1e-14 * float(np.max(np.abs(ref)))
+        # Whitening by an R entry near 1e-6 magnifies the rounding of m in the
+        # residuals, for the loop as for the scan, so the loop's own error
+        # against the long-double run widens the 1e-12 relative bound.
+        ll = log_likelihood(Y, theta, missing_target_from=cut)
+        assert abs(ll - ll_loop) <= 1e-12 * abs(ll_loop) + 10.0 * float(abs(ll_loop - ll_ref))
+
+    @pytest.mark.parametrize("cut", [None, 12], ids=["observed", "missing_from_12"])
+    def test_last_ulp_cycle_reused_by_phase(self, cut):
+        theta = params_from_json(_CYCLING_THETA)
+        k_total = 20
+        Y = simulate(SimulationConfig(d_true=3, n_units=12, t_total=80, t0=50, seed=0)).panel.values[:, :k_total]
+        filtered = filter_pass(Y, theta, missing_target_from=cut)
+        smoothed = smooth_pass(filtered, theta)
+        assert len(filtered.P_e) < k_total
+
+        fm, fc, sm, sc = conditioned_moments(theta, Y, missing_target_from=cut)
+        assert np.max(np.abs(filtered.m - np.array(fm))) <= 1e-8
+        assert np.max(np.abs(filtered.P - np.array(fc))) <= 1e-8
+        assert np.max(np.abs(smoothed.m_s - np.array(sm))) <= 1e-8
+        assert np.max(np.abs(smoothed.P_s - np.array(sc))) <= 1e-8
+
+        _, m_loop, ll_loop = filter_mean_loop(theta, Y, filtered, cut)
+        ms_loop = smoother_mean_loop(theta, m_loop, smoothed.G)
+        assert np.max(np.abs(filtered.m - m_loop)) <= 1e-12 * np.max(np.abs(m_loop))
+        assert np.max(np.abs(smoothed.m_s - ms_loop)) <= 1e-12 * np.max(np.abs(ms_loop))
+        assert abs(log_likelihood(Y, theta, missing_target_from=cut) - ll_loop) <= 1e-12 * abs(ll_loop)
 
 
 class TestLogLikelihood:
@@ -474,9 +574,8 @@ class TestSeasonal:
         shifted = Y + s
         with_seasonal = filter_pass(shifted, theta, seasonal=s)
         plain = filter_pass(Y, theta)
-        for a, b in zip(with_seasonal, plain):
-            assert np.allclose(a.m, b.m)
-            assert np.allclose(a.P, b.P)
+        assert np.allclose(with_seasonal.m, plain.m)
+        assert np.allclose(with_seasonal.P, plain.P)
 
     def test_seasonal_length_checked(self):
         rng = np.random.default_rng(18)
