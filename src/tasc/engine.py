@@ -319,6 +319,7 @@ def tasc_infer(
     config: EmConfig,
     level: float = 0.95,
     ci_variance: str = "prediction",
+    em: EmResult | None = None,
 ) -> TascResult:
     """Learn the model on pre-intervention columns, then infer the counterfactual.
 
@@ -328,6 +329,10 @@ def tasc_infer(
     target loading applied to the smoothed state.  Intervals are Gaussian with
     variance ``var_pred`` (signal plus target noise) by default, or
     ``var_signal`` when ``ci_variance="signal"``.
+
+    A given ``em`` replaces the EM fit: only the counterfactual pass runs,
+    with its theta, whose rows must follow the panel's rows.  ``config`` then
+    supplies only ``d`` (checked against theta) and the seasonal offsets.
     """
     if not 0.0 < level < 1.0:
         raise ConfigError("confidence level must be in (0, 1)")
@@ -337,7 +342,13 @@ def tasc_infer(
     t_total = panel.n_periods
     s = _seasonal_array(config.seasonal, t_total)
 
-    em = em_pre(panel.values[:, :t0], config)
+    if em is None:
+        em = em_pre(panel.values[:, :t0], config)
+    elif em.theta.n_obs != panel.n_units or em.theta.d != config.d:
+        raise ConfigError(
+            f"given EM fit has N={em.theta.n_obs}, d={em.theta.d}; "
+            f"panel and config need N={panel.n_units}, d={config.d}"
+        )
     theta = em.theta
 
     filtered, _ = _forward(panel.values, theta, seasonal=s, missing_target_from=t0)

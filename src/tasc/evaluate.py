@@ -18,7 +18,7 @@ import numpy as np
 
 from ._numeric import derive_seed, open_for_write
 from .baselines import RscConfig, DonorWeights, rsc_fit, sc_fit, sc_predict
-from .engine import EmConfig, confidence_width, tasc_infer
+from .engine import EmConfig, EmResult, confidence_width, tasc_infer
 from .errors import ConfigError, TascError
 from .panel import PanelData, mean_center, permute_columns
 from .simulate import SimulationConfig, simulate
@@ -83,7 +83,11 @@ class Estimator:
     ``center`` applies donor-mean centering before fitting and adds the mean
     trajectory back to predictions.  ``sc_tol`` is the gap tolerance of
     Wolfe's method in :func:`~tasc.baselines.sc_fit`, on the problem rescaled
-    to unit RMS.
+    to unit RMS.  ``em_result``, for the time-aware method, is an EM fit whose
+    rows follow the panel's: the fit then skips EM and runs only the
+    counterfactual pass with it.  :func:`placebo_suite` sets it so that every
+    donor reuses one fit, the first donor's with that donor's seed; only with
+    ``center`` does each donor refit.
     """
 
     method: str
@@ -93,6 +97,7 @@ class Estimator:
     center: bool = False
     sc_tol: float = 1e-7
     name: str | None = None
+    em_result: EmResult | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -136,7 +141,7 @@ def fit_predict(panel: PanelData, estimator: Estimator, seed: int | None = None)
         config = estimator.em
         if seed is not None:
             config = replace(config, seed=seed)
-        result = tasc_infer(work, config, level=estimator.level)
+        result = tasc_infer(work, config, level=estimator.level, em=estimator.em_result)
         est = result.estimate
         y_hat, fitted = est.y_hat, est.fitted_pre
         lo, hi = est.ci_lower, est.ci_upper
@@ -188,9 +193,18 @@ def placebo_suite(panel: PanelData, estimator: Estimator, seed: int = 0) -> Plac
     Every donor has observed post outcomes, so pre and post errors and the
     full observed-minus-predicted gap series are recorded per unit.  A failed
     fit is recorded for its unit without aborting the suite.
+
+    Every pseudo-panel holds the same donor rows in another order, and the
+    time-aware model does not depend on which row is the target, so the
+    time-aware method runs EM once: the first donor whose fit succeeds fits it
+    with its own seed, and each later donor runs only the counterfactual pass
+    with that fit, its rows permuted to the donor's order.  With ``center``
+    the pseudo-panels differ in data, so every donor refits.
     """
     entries: list[PlaceboEntry] = []
     donor_rows = list(range(1, panel.n_units))
+    reuse = estimator.method == "tasc" and not estimator.center
+    shared: tuple[Prediction, list[int]] | None = None  # first tasc fit and its row order
     for j in donor_rows:
         others = [i for i in donor_rows if i != j]
         order = [j] + others
@@ -202,13 +216,16 @@ def placebo_suite(panel: PanelData, estimator: Estimator, seed: int = 0) -> Plac
             target_post_missing=False,
         )
         label = panel.unit_labels[j]
+        est = estimator if shared is None else replace(estimator, em_result=_permuted_fit(*shared, order))
         try:
-            pred = fit_predict(pseudo, estimator, seed=derive_seed(seed, j))
+            pred = fit_predict(pseudo, est, seed=derive_seed(seed, j))
         except TascError as exc:
             entries.append(
                 PlaceboEntry(label, float("nan"), float("nan"), None, error=str(exc))
             )
             continue
+        if reuse and shared is None:
+            shared = (pred, order)
         observed = panel.values[j]
         predicted = np.concatenate([pred.fitted_pre, pred.y_hat])
         entries.append(
@@ -220,6 +237,18 @@ def placebo_suite(panel: PanelData, estimator: Estimator, seed: int = 0) -> Plac
             )
         )
     return PlaceboResult(entries=entries)
+
+
+def _permuted_fit(pred: Prediction, fit_order: list[int], order: list[int]) -> EmResult:
+    """The EM fit behind ``pred``, made on rows ``fit_order``, with its rows in ``order``.
+
+    Only H and R have a row axis.  ``Prediction`` does not carry the winning
+    restart's index, and the counterfactual pass does not read it.
+    """
+    where = {row: i for i, row in enumerate(fit_order)}
+    idx = np.array([where[row] for row in order])
+    theta = replace(pred.theta, H=pred.theta.H[idx], R=pred.theta.R[np.ix_(idx, idx)])
+    return EmResult(theta=theta, loglik_trace=pred.loglik_trace)
 
 
 def threshold_filter(placebo: PlaceboResult, target_pre_mse: float, ratio: float) -> list[str]:

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasc import (
     ConfigError,
@@ -19,7 +23,7 @@ from tasc import (
     tasc_infer,
 )
 
-from tasc.engine import SufficientStats
+from tasc.engine import EmResult, SufficientStats
 
 from oracles import q_gradient_fd, random_theta
 
@@ -391,6 +395,58 @@ class TestTascInfer:
         est = tasc_infer(panel, config, level=0.95).estimate
         z = (est.ci_upper - est.y_hat) / np.sqrt(est.var_pred)
         assert np.allclose(z, 1.959963984540054, atol=1e-9)
+
+
+class TestTascInferGivenFit:
+    """``tasc_infer(..., em=...)``: the counterfactual pass alone, on a given fit."""
+
+    def test_given_fit_reproduces_the_fitted_call(self):
+        panel = self_similar_panel()
+        config = EmConfig(d=1, n_iters=10, n_restarts=2, seed=5)
+        full = tasc_infer(panel, config)
+        em = EmResult(theta=full.theta, loglik_trace=full.loglik_trace)
+        again = tasc_infer(panel, config, em=em)
+        assert np.array_equal(again.estimate.y_hat, full.estimate.y_hat)
+        assert np.array_equal(again.estimate.var_pred, full.estimate.var_pred)
+        assert again.loglik_trace == full.loglik_trace
+
+    def test_row_count_mismatch_rejected(self):
+        panel = self_similar_panel()
+        em = EmResult(theta=random_theta(np.random.default_rng(0), 1, panel.n_units + 1), loglik_trace=[])
+        with pytest.raises(ConfigError, match="N=6, d=1; panel and config need N=5, d=1"):
+            tasc_infer(panel, EmConfig(d=1), em=em)
+
+    def test_latent_dimension_mismatch_rejected(self):
+        panel = self_similar_panel()
+        em = EmResult(theta=random_theta(np.random.default_rng(1), 2, panel.n_units), loglik_trace=[])
+        with pytest.raises(ConfigError, match="N=5, d=2; panel and config need N=5, d=1"):
+            tasc_infer(panel, EmConfig(d=1), em=em)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_counterfactual_equivariant_to_donor_order(self, data):
+        # With theta fixed, permuting the donor rows of the panel and of H and
+        # R together leaves the target's counterfactual unchanged: the model
+        # sees the same observations.  Only the summation order differs.
+        d = data.draw(st.integers(1, 3), label="d")
+        n = data.draw(st.integers(3, 8), label="N")
+        t_total = data.draw(st.integers(3, 40), label="T")
+        t0 = data.draw(st.integers(2, t_total - 1), label="t0")
+        diag_noise = data.draw(st.booleans(), label="diag_noise")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        theta = random_theta(rng, d, n, diag_noise=diag_noise)
+        values = rng.standard_normal((n, t_total))
+        panel = PanelData(values, t0, tuple(f"u{i}" for i in range(n)), tuple(f"t{j}" for j in range(t_total)))
+        order = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+        permuted_panel = panel.with_values(values[order])
+        permuted_theta = replace(theta, H=theta.H[order], R=theta.R[np.ix_(order, order)])
+
+        config = EmConfig(d=d, diag_noise=diag_noise)
+        base = tasc_infer(panel, config, em=EmResult(theta=theta, loglik_trace=[])).estimate
+        other = tasc_infer(permuted_panel, config, em=EmResult(theta=permuted_theta, loglik_trace=[])).estimate
+        for name in ("y_hat", "var_signal", "fitted_pre"):
+            ref, got = getattr(base, name), getattr(other, name)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
 class TestConfidenceWidth:

@@ -18,6 +18,7 @@ from tasc import (
     rmse,
     rmse_by_horizon,
     simulate,
+    tasc_infer,
     threshold_filter,
     write_rows_csv,
 )
@@ -181,6 +182,94 @@ class TestPlaceboSuite:
                 e.rmse_post for e in placebo_suite(panel, r_est, seed=rep).entries if e.error is None
             )
         assert np.median(tasc_errs) < np.median(rsc_errs)
+
+
+class TestPlaceboFitReuse:
+    """A tasc placebo suite runs EM once and permutes that fit for later donors."""
+
+    PANEL = simulate(SimulationConfig(d_true=2, n_units=5, t_total=24, t0=16, seed=11)).panel
+    EST = Estimator(method="tasc", em=EmConfig(d=2, n_iters=10, n_restarts=2))
+
+    @staticmethod
+    def _count_em(monkeypatch, fail_first=False):
+        from tasc import FitError, engine
+
+        calls = []
+        original = engine.em_pre
+
+        def counted(Y_pre, config):
+            calls.append(config.seed)
+            if fail_first and len(calls) == 1:
+                raise FitError("first fit fails")
+            return original(Y_pre, config)
+
+        monkeypatch.setattr(engine, "em_pre", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "estimator, em_calls",
+        [(EST, 1), (Estimator(method="tasc", em=EST.em, center=True), 4), (SC, 0)],
+        ids=["tasc", "tasc_centered", "sc"],
+    )
+    def test_em_runs_once_per_uncentered_tasc_suite(self, monkeypatch, estimator, em_calls):
+        calls = self._count_em(monkeypatch)
+        result = placebo_suite(self.PANEL, estimator, seed=3)
+        assert all(e.error is None for e in result.entries)
+        assert len(calls) == em_calls
+
+    def test_reused_fit_is_the_first_fit_with_rows_permuted(self, monkeypatch):
+        import tasc.evaluate
+        from tasc._numeric import derive_seed
+        from tasc.engine import EmResult
+
+        fits = []
+        original = tasc.evaluate.fit_predict
+
+        def recorded(panel, estimator, seed=None):
+            pred = original(panel, estimator, seed)
+            fits.append((panel, estimator, seed, pred))
+            return pred
+
+        monkeypatch.setattr(tasc.evaluate, "fit_predict", recorded)
+        result = placebo_suite(self.PANEL, self.EST, seed=3)
+        assert len(fits) == 4 and all(e.error is None for e in result.entries)
+        first_panel, first_est, first_seed, first = fits[0]
+        assert first_est.em_result is None and first_seed == derive_seed(3, 1)
+        rows = {label: i for i, label in enumerate(first_panel.unit_labels)}
+        for pseudo, est, _, pred in fits[1:]:
+            idx = [rows[label] for label in pseudo.unit_labels]
+            theta = pred.theta
+            assert np.array_equal(theta.H, first.theta.H[idx])
+            assert np.array_equal(theta.R, first.theta.R[np.ix_(idx, idx)])
+            for name in ("A", "Q", "m0", "P0"):
+                assert np.array_equal(getattr(theta, name), getattr(first.theta, name))
+            assert pred.loglik_trace == first.loglik_trace
+            # The pass on that theta alone, outside the suite, gives the same path.
+            alone = tasc_infer(pseudo, self.EST.em, em=EmResult(theta=theta, loglik_trace=[]))
+            assert np.array_equal(pred.y_hat, alone.estimate.y_hat)
+            assert np.array_equal(pred.ci_upper, alone.estimate.ci_upper)
+
+    def test_failed_first_fit_passes_the_fit_to_the_next_donor(self, monkeypatch):
+        from tasc._numeric import derive_seed
+
+        calls = self._count_em(monkeypatch, fail_first=True)
+        result = placebo_suite(self.PANEL, self.EST, seed=3)
+        assert [e.error is None for e in result.entries] == [False, True, True, True]
+        assert calls == [derive_seed(3, 1), derive_seed(3, 2)]
+
+    def test_centered_suite_refits_each_donor_with_its_own_seed(self):
+        from tasc._numeric import derive_seed
+
+        centered = Estimator(method="tasc", em=self.EST.em, center=True)
+        result = placebo_suite(self.PANEL, centered, seed=3)
+        for j, entry in zip(range(1, self.PANEL.n_units), result.entries):
+            order = [j] + [i for i in range(1, self.PANEL.n_units) if i != j]
+            pseudo = PanelData(
+                self.PANEL.values[order], self.PANEL.t0,
+                tuple(self.PANEL.unit_labels[i] for i in order), self.PANEL.time_labels,
+            )
+            pred = fit_predict(pseudo, centered, seed=derive_seed(3, j))
+            assert entry.rmse_post == rmse(pred.y_hat, self.PANEL.values[j, self.PANEL.t0 :])
 
 
 class TestThresholdFilter:
