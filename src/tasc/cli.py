@@ -69,45 +69,48 @@ def _build_estimator(args, config: dict) -> Estimator:
     method = _pick(getattr(args, "method", None), config, "method", None)
     if method is None:
         raise ConfigError("no method given (use --method or the config file)")
-    seed = int(_pick(args.seed, config, "seed", 0))
-    level = float(_pick(getattr(args, "level", None), config, "level", 0.95))
-    center = bool(getattr(args, "center", False) or config.get("center", False))
+    try:
+        seed = int(_pick(args.seed, config, "seed", 0))
+        level = float(_pick(getattr(args, "level", None), config, "level", 0.95))
+        center = bool(getattr(args, "center", False) or config.get("center", False))
 
-    em_doc = dict(config.get("em", {}))
-    rsc_doc = dict(config.get("rsc", {}))
-    d = getattr(args, "d", None)
-    if d is not None:
-        em_doc["d"] = d
-        rsc_doc["d"] = d
-    if getattr(args, "n1", None) is not None:
-        em_doc["n_iters"] = args.n1
-    if getattr(args, "lambda_", None) is not None:
-        rsc_doc["lambda"] = args.lambda_
+        em_doc = dict(config.get("em", {}))
+        rsc_doc = dict(config.get("rsc", {}))
+        d = getattr(args, "d", None)
+        if d is not None:
+            em_doc["d"] = d
+            rsc_doc["d"] = d
+        if getattr(args, "n1", None) is not None:
+            em_doc["n_iters"] = args.n1
+        if getattr(args, "lambda_", None) is not None:
+            rsc_doc["lambda"] = args.lambda_
 
-    em = None
-    if method == "tasc":
-        if "d" not in em_doc:
-            raise ConfigError("tasc needs a latent dimension (--d or em.d in config)")
-        em = EmConfig(
-            d=int(em_doc["d"]),
-            n_iters=int(em_doc.get("n_iters", 200)),
-            rel_tol=float(em_doc.get("rel_tol", 1e-6)),
-            n_restarts=int(em_doc.get("n_restarts", 5)),
-            seed=seed,
-            diag_noise=bool(em_doc.get("diag_noise", True)),
-        )
-    rsc = None
-    if method == "rsc":
-        if "d" not in rsc_doc:
-            raise ConfigError("rsc needs a kept rank (--d or rsc.d in config)")
-        grid = rsc_doc.get("cv_grid")
-        if grid is None and "lambda" not in rsc_doc:
-            grid = list(DEFAULT_CV_GRID)
-        rsc = RscConfig(
-            d=int(rsc_doc["d"]),
-            lambda_=float(rsc_doc.get("lambda", 0.0)),
-            cv_grid=tuple(float(g) for g in grid) if grid is not None else None,
-        )
+        em = None
+        if method == "tasc":
+            if "d" not in em_doc:
+                raise ConfigError("tasc needs a latent dimension (--d or em.d in config)")
+            em = EmConfig(
+                d=int(em_doc["d"]),
+                n_iters=int(em_doc.get("n_iters", 200)),
+                rel_tol=float(em_doc.get("rel_tol", 1e-6)),
+                n_restarts=int(em_doc.get("n_restarts", 5)),
+                seed=seed,
+                diag_noise=bool(em_doc.get("diag_noise", True)),
+            )
+        rsc = None
+        if method == "rsc":
+            if "d" not in rsc_doc:
+                raise ConfigError("rsc needs a kept rank (--d or rsc.d in config)")
+            grid = rsc_doc.get("cv_grid")
+            if grid is None and "lambda" not in rsc_doc:
+                grid = list(DEFAULT_CV_GRID)
+            rsc = RscConfig(
+                d=int(rsc_doc["d"]),
+                lambda_=float(rsc_doc.get("lambda", 0.0)),
+                cv_grid=tuple(float(g) for g in grid) if grid is not None else None,
+            )
+    except (TypeError, ValueError) as exc:  # e.g. int("x"), or a number where a list belongs
+        raise ConfigError(f"malformed config value: {exc}") from None
     return Estimator(method=method, em=em, rsc=rsc, level=level, center=center)
 
 
@@ -189,6 +192,8 @@ def _sim_config_from(doc: dict, seed: int | None) -> SimulationConfig:
         )
     except KeyError as exc:
         raise ConfigError(f"simulation config missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed simulation config value: {exc}") from None
 
 
 def cmd_simulate(args, argv: list[str]) -> int:
@@ -291,17 +296,19 @@ def cmd_bench(args, argv: list[str]) -> int:
     names = []
     regimes = []
     for i, entry in enumerate(regimes_doc):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"regime {i} must be a JSON object, got {entry!r}")
         names.append(str(entry.get("name", f"regime{i}")))
         regimes.append(_sim_config_from(entry, None))
 
     config = _load_config(args.config)
-    seed = int(_pick(args.seed, config, "seed", 0))
-    meta = _meta(argv, seed)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     estimators = []
     for m in methods:
         sub = argparse.Namespace(**{**vars(args), "method": m})
-        estimators.append(_build_estimator(sub, config))
+        estimators.append(_build_estimator(sub, config))  # checks the config values first
+    seed = int(_pick(args.seed, config, "seed", 0))
+    meta = _meta(argv, seed)
 
     reports = method_sweep(
         regimes,

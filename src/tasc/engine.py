@@ -20,7 +20,6 @@ from ._numeric import ensure_spd, min_eig, spd_cholesky, spd_solve, symmetrize
 from .errors import ConfigError, FitError, NumericalError, TascError
 from .panel import PanelData
 from .ssm import (
-    SeasonalOffsets,
     SmoothedTrajectory,
     StateSpaceParams,
     _forward,
@@ -70,7 +69,7 @@ class EmConfig:
     n_restarts: int = 5
     seed: int = 0
     diag_noise: bool = True
-    seasonal: SeasonalOffsets | np.ndarray | None = None
+    seasonal: np.ndarray | None = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -147,7 +146,7 @@ def init_params(Y_pre: np.ndarray, config: EmConfig, restart_index: int = 0) -> 
     sqrt(t0), so H times the implied latent series reproduces the rank-d
     reconstruction; the transition starts near 0.9 I with a small seeded
     perturbation, and R starts at the per-row residual variances of the
-    reconstruction (floored).
+    reconstruction (floored), as a vector under ``config.diag_noise``.
     """
     Y_pre = np.asarray(Y_pre, dtype=float)
     n, t0 = Y_pre.shape
@@ -165,11 +164,11 @@ def init_params(Y_pre: np.ndarray, config: EmConfig, restart_index: int = 0) -> 
     A = 0.9 * np.eye(d) + 0.01 * rng.standard_normal((d, d))
     Q = np.eye(d)
     resid = Y_pre - H @ latent
-    r_diag = np.maximum(np.mean(resid**2, axis=1), _INIT_R_FLOOR)
-    R = np.diag(r_diag)
+    r = np.maximum(np.mean(resid**2, axis=1), _INIT_R_FLOOR)
+    R = r if config.diag_noise else np.diag(r)
     m0 = latent[:, 0]
     P0 = np.eye(d)
-    return StateSpaceParams(A=A, H=H, Q=Q, R=R, m0=m0, P0=P0, diag_noise=config.diag_noise)
+    return StateSpaceParams(A=A, H=H, Q=Q, R=R, m0=m0, P0=P0)
 
 
 def accumulate_stats(smoothed: SmoothedTrajectory, Y: np.ndarray) -> SufficientStats:
@@ -204,19 +203,18 @@ def m_step(
 
     A' and H' are the exact maximizers; Q' and R' are the residual second
     moments evaluated at the fresh A'/H' (kept diagonal when
-    ``theta_old.diag_noise``), floored to stay positive definite.  The initial
-    covariance update inflates the smoothed P0 by the shift of the initial mean
-    from its previous value.  A singular or ill-conditioned Phi or Sigma
+    ``theta_old.diag_noise``, R' then as its vector), floored to stay
+    positive definite.  The initial covariance update inflates the smoothed P0
+    by the shift of the initial mean from its previous value.  A singular or ill-conditioned Phi or Sigma
     raises NumericalError from its Cholesky gate.
     """
-    diag_noise = theta_old.diag_noise
     low_phi = spd_cholesky(stats.phi, "state moment matrix Phi")
     low_sigma = spd_cholesky(stats.sigma, "state moment matrix Sigma")
     A_new = spd_solve(low_phi, stats.c.T).T  # c Phi^-1, Phi symmetric
     H_new = spd_solve(low_sigma, stats.b.T).T  # b Sigma^-1
 
     q_full = stats.sigma - 2.0 * stats.c @ A_new.T + A_new @ stats.phi @ A_new.T
-    if diag_noise:
+    if theta_old.diag_noise:
         # Only R's diagonal is kept, so it is formed row by row in O(NK + Nd^2)
         # rather than from the N x N moment d.
         Y = stats.Y
@@ -226,7 +224,7 @@ def m_step(
             + np.einsum("ij,ij->i", H_new @ stats.sigma, H_new)
         )
         Q_new = np.diag(np.maximum(np.diag(q_full), _NOISE_FLOOR))
-        R_new = np.diag(np.maximum(r_diag, _NOISE_FLOOR))
+        R_new = np.maximum(r_diag, _NOISE_FLOOR)
     else:
         r_full = stats.d - 2.0 * stats.b @ H_new.T + H_new @ stats.sigma @ H_new.T
         Q_new = _floor_spectrum(symmetrize(q_full))
@@ -234,9 +232,7 @@ def m_step(
 
     shift = m0s - theta_old.m0
     P0_new = ensure_spd(P0s + np.outer(shift, shift), "initial covariance P0")
-    return StateSpaceParams(
-        A=A_new, H=H_new, Q=Q_new, R=R_new, m0=m0s, P0=P0_new, diag_noise=diag_noise
-    )
+    return StateSpaceParams(A=A_new, H=H_new, Q=Q_new, R=R_new, m0=m0s, P0=P0_new)
 
 
 def _floor_spectrum(m: np.ndarray) -> np.ndarray:
@@ -255,26 +251,17 @@ def _em_single(Y_pre: np.ndarray, config: EmConfig, restart_index: int) -> tuple
     Y_stats = Y_pre if s is None else Y_pre - s[:k_total]
 
     trace: list[float] = []
-    prev_ll: float | None = None
-    for _ in range(config.n_iters):
+    for it in range(config.n_iters + 1):  # the last pass only scores the final theta
         filtered, ll = _forward(Y_pre, theta, seasonal=s)
+        if trace and ll < trace[-1] - _MONOTONE_SLACK:
+            raise NumericalError(f"EM log-likelihood decreased from {trace[-1]:.6f} to {ll:.6f}")
+        converged = bool(trace) and ll - trace[-1] < config.rel_tol * max(1.0, abs(trace[-1]))
         trace.append(ll)
-        if prev_ll is not None:
-            if ll < prev_ll - _MONOTONE_SLACK:
-                raise NumericalError(
-                    f"EM log-likelihood decreased from {prev_ll:.6f} to {ll:.6f}"
-                )
-            if ll - prev_ll < config.rel_tol * max(1.0, abs(prev_ll)):
-                return theta, trace
+        if converged or it == config.n_iters:
+            return theta, trace
         smoothed = smooth_pass(filtered, theta)
         stats = accumulate_stats(smoothed, Y_stats)
         theta = m_step(stats, theta, smoothed.m_s[0], smoothed.P_s[0])
-        prev_ll = ll
-    _, ll = _forward(Y_pre, theta, seasonal=s)
-    if prev_ll is not None and ll < prev_ll - _MONOTONE_SLACK:
-        raise NumericalError(f"EM log-likelihood decreased from {prev_ll:.6f} to {ll:.6f}")
-    trace.append(ll)
-    return theta, trace
 
 
 def em_pre(Y_pre: np.ndarray, config: EmConfig) -> EmResult:
@@ -355,7 +342,7 @@ def tasc_infer(
     smoothed = smooth_pass(filtered, theta)
 
     h1 = theta.H[0]
-    r1 = float(theta.R[0, 0])
+    r1 = float(theta.R[0] if theta.diag_noise else theta.R[0, 0])
     proj = smoothed.m_s[1:] @ h1  # length T, index t is period t (0-based)
     if s is not None:
         proj = proj + s[:t_total]

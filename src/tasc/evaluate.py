@@ -247,7 +247,8 @@ def _permuted_fit(pred: Prediction, fit_order: list[int], order: list[int]) -> E
     """
     where = {row: i for i, row in enumerate(fit_order)}
     idx = np.array([where[row] for row in order])
-    theta = replace(pred.theta, H=pred.theta.H[idx], R=pred.theta.R[np.ix_(idx, idx)])
+    R = pred.theta.R[idx] if pred.theta.diag_noise else pred.theta.R[np.ix_(idx, idx)]
+    theta = replace(pred.theta, H=pred.theta.H[idx], R=R)
     return EmResult(theta=theta, loglik_trace=pred.loglik_trace)
 
 

@@ -112,21 +112,21 @@ def gen_params(config: SimulationConfig) -> StateSpaceParams:
     R = random_covariance(n, config.a_r**2, config.b_r**2, rng)
     m0 = rng.standard_normal(d)
     P0 = np.eye(d)
-    return StateSpaceParams(A=A, H=H, Q=Q, R=R, m0=m0, P0=P0, diag_noise=False)
+    return StateSpaceParams(A=A, H=H, Q=Q, R=R, m0=m0, P0=P0)
 
 
 def gen_panel(theta_true: StateSpaceParams, t_total: int, t0: int, seed) -> SimulatedPanel:
     """Sample one panel trajectory from known parameters.
 
     Stores signal H X and noise E separately; panel values are exactly their
-    sum, and the target row is row 0.
+    sum, and the target row is row 0.  A diagonal-noise theta (R a vector)
+    draws the same noise as its N x N diagonal matrix would.
     """
     if not 1 <= t0 < t_total:
         raise ConfigError("t0 must satisfy 1 <= t0 < T")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     d, n = theta_true.d, theta_true.n_obs
     lq = psd_sqrt(theta_true.Q)
-    lr = psd_sqrt(theta_true.R)
     l0 = psd_sqrt(theta_true.P0)
 
     x = theta_true.m0 + l0 @ rng.standard_normal(d)
@@ -136,7 +136,8 @@ def gen_panel(theta_true: StateSpaceParams, t_total: int, t0: int, seed) -> Simu
         x = theta_true.A @ x + shocks[:, t]
         latent[:, t] = x
     signal = theta_true.H @ latent
-    noise = lr @ rng.standard_normal((n, t_total))
+    R, z = theta_true.R, rng.standard_normal((n, t_total))
+    noise = np.sqrt(np.maximum(R, 0.0))[:, None] * z if theta_true.diag_noise else psd_sqrt(R) @ z
     values = signal + noise
     panel = PanelData(
         values,

@@ -64,7 +64,6 @@ __all__ = [
     "StateSpaceParams",
     "FilteredTrajectory",
     "SmoothedTrajectory",
-    "SeasonalOffsets",
     "filter_pass",
     "smooth_pass",
     "log_likelihood",
@@ -85,7 +84,11 @@ def _check_spd(name: str, m: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class StateSpaceParams:
-    """Parameter set {A, H, Q, R, m0, P0} of the linear-Gaussian model."""
+    """Parameter set {A, H, Q, R, m0, P0} of the linear-Gaussian model.
+
+    R's shape is the noise model: a length-N R is the diagonal of a diagonal
+    covariance (``diag_noise``; Q must then be exactly diagonal), an N x N R a full one.
+    """
 
     A: np.ndarray
     H: np.ndarray
@@ -93,7 +96,6 @@ class StateSpaceParams:
     R: np.ndarray
     m0: np.ndarray
     P0: np.ndarray
-    diag_noise: bool = True
 
     def __post_init__(self):
         for name in ("A", "H", "Q", "R", "m0", "P0"):
@@ -110,23 +112,28 @@ class StateSpaceParams:
             raise ConfigError(f"H must be N x d, got {self.H.shape}")
         if self.Q.shape != (d, d) or self.P0.shape != (d, d):
             raise ConfigError("Q and P0 must be d x d")
-        if self.R.shape != (n, n):
-            raise ConfigError("R must be N x N")
+        if self.R.shape not in ((n,), (n, n)):
+            raise ConfigError("R must be a length-N diagonal or N x N")
         if self.m0.shape != (d,):
             raise ConfigError("m0 must have length d")
-        for name in ("Q", "R"):
-            m = getattr(self, name)
-            if not self.diag_noise:
-                _check_spd(name, m)
-                continue
-            # A diagonal matrix is PD exactly when its diagonal is, so the
-            # N x N eigendecomposition is skipped.
-            diag = np.diag(m)
-            if np.any(m != np.diag(diag)):
-                raise ConfigError("diag_noise requires exactly diagonal Q and R")
-            if diag.min() <= -_PD_TOL:
-                raise ConfigError(f"{name} must be positive definite")
+        if self.diag_noise:
+            # A diagonal matrix is PD exactly when its diagonal is, so no
+            # eigendecomposition is needed.
+            q = np.diag(self.Q)
+            if np.any(self.Q != np.diag(q)):
+                raise ConfigError("a diagonal R requires an exactly diagonal Q")
+            for name, diag in (("Q", q), ("R", self.R)):
+                if diag.min() <= -_PD_TOL:
+                    raise ConfigError(f"{name} must be positive definite")
+        else:
+            _check_spd("Q", self.Q)
+            _check_spd("R", self.R)
         _check_spd("P0", self.P0)
+
+    @property
+    def diag_noise(self) -> bool:
+        """Whether R is held as the diagonal of a diagonal covariance."""
+        return self.R.ndim == 1
 
     @property
     def d(self) -> int:
@@ -188,34 +195,20 @@ class SmoothedTrajectory:
 
 
 @dataclass(frozen=True)
-class SeasonalOffsets:
-    """Per-period scalar offsets added to every observation coordinate."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.s, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "s", arr)
-        if arr.ndim != 1:
-            raise ConfigError("seasonal offsets must be a 1-D vector")
-
-
-@dataclass(frozen=True)
 class _ObservedRows:
     """The observation rows one update conditions on, prepared once per theta.
 
     Observations are whitened by R's Cholesky factor C (R = C C'), so that
     for an innovation v the update needs only ``Hw = C^-1 H`` and
     ``J = H' R^-1 H = Hw' Hw``.  Under ``diag_noise`` C is the square root of
-    R's diagonal and whitening is an elementwise product.
+    the vector R and whitening is an elementwise product.
     """
 
     rows: slice
     Hw: np.ndarray  # C^-1 H[rows]
     J: np.ndarray  # Hw' Hw, d x d
     logdet_R: float
-    inv_sd: np.ndarray | None  # 1 / sqrt(diag R[rows]) under diag_noise
+    inv_sd: np.ndarray | None  # 1 / sqrt(R[rows]) under diag_noise
     low_R: np.ndarray | None  # C otherwise
 
     def whiten(self, v: np.ndarray) -> np.ndarray:
@@ -240,7 +233,7 @@ def _observed_rows(theta: StateSpaceParams, target_missing: bool, step: int) -> 
     rows = slice(1, None) if target_missing else slice(None)
     H = theta.H[rows]
     if theta.diag_noise:
-        r = np.diag(theta.R)[rows]
+        r = theta.R[rows]
         if not np.all(r > 0):
             raise NumericalError(f"{_INNOVATION} is not positive definite", step=step)
         sd = np.sqrt(r)
@@ -316,11 +309,16 @@ def _linear_scan(F: np.ndarray, g: np.ndarray, x0: np.ndarray) -> np.ndarray:
 
 
 def _seasonal_array(seasonal, k_total: int) -> np.ndarray | None:
+    """Per-period scalar offsets added to every observation coordinate, checked for ``k_total`` periods."""
     if seasonal is None:
         return None
-    s = seasonal.s if isinstance(seasonal, SeasonalOffsets) else np.asarray(seasonal, dtype=float)
+    s = np.asarray(seasonal, dtype=float)
+    if s.ndim != 1:
+        raise ConfigError("seasonal offsets must be a 1-D vector")
     if s.shape[0] < k_total:
         raise ConfigError(f"seasonal offsets cover {s.shape[0]} periods, need {k_total}")
+    if not np.isfinite(s).all():
+        raise ConfigError("seasonal offsets must be finite")
     return s
 
 
@@ -427,18 +425,16 @@ def smooth_pass(filtered: FilteredTrajectory, theta: StateSpaceParams) -> Smooth
     P_k = np.concatenate([theta.P0[None], filtered.P_e])  # row e + 1 is entry e
     prev = np.concatenate([[0], cov[:-1] + 1])  # row of P_k at step k
 
-    low_e = filtered.L_e.copy()
     distinct, rev_first = np.unique(cov[::-1], return_index=True)
     last = k_total - 1 - rev_first
     for i in np.argsort(-last):
         e, k = distinct[i], int(last[i])
-        if filtered.chol_e[e]:
-            check_factor_diag(low_e[e].diagonal(), _PREDICTION, step=k)
-        else:
-            low_e[e] = spd_cholesky(filtered.P_pred_e[e], _PREDICTION, step=k)
-    pair = prev * len(low_e) + cov
+        if not filtered.chol_e[e]:  # the filter's Cholesky of this P_pred failed
+            raise NumericalError(f"{_PREDICTION} is not positive definite", step=k)
+        check_factor_diag(filtered.L_e[e].diagonal(), _PREDICTION, step=k)
+    pair = prev * len(filtered.L_e) + cov
     _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
-    G = np.array([spd_solve(low_e[cov[k]], A @ P_k[prev[k]]).T for k in first])[inverse]
+    G = np.array([spd_solve(filtered.L_e[cov[k]], A @ P_k[prev[k]]).T for k in first])[inverse]
 
     m_s = np.empty((k_total + 1, theta.d))
     m_s[k_total] = filtered.m[-1]
@@ -482,7 +478,7 @@ def params_to_json(
 ) -> str:
     """Serialize parameters as a JSON document (lossless float round trip).
 
-    Under ``diag_noise`` R is written as its length-N diagonal.  The returned
+    Under ``diag_noise`` R is its length-N diagonal, and is written so.  The returned
     text has no trailing newline; the file written to ``dest`` ends with one.
     """
     return write_json(_params_doc(theta, loglik_trace), dest).rstrip("\n")
@@ -497,7 +493,7 @@ def _params_doc(theta: StateSpaceParams, loglik_trace: list[float] | None = None
         "A": theta.A.tolist(),
         "H": theta.H.tolist(),
         "Q": theta.Q.tolist(),
-        "R": (np.diag(theta.R) if theta.diag_noise else theta.R).tolist(),
+        "R": theta.R.tolist(),
         "m0": theta.m0.tolist(),
         "P0": theta.P0.tolist(),
     }
@@ -509,17 +505,20 @@ def _params_doc(theta: StateSpaceParams, loglik_trace: list[float] | None = None
 def params_from_json(source: str | Path) -> StateSpaceParams:
     """Inverse of :func:`params_to_json`; accepts a path or a JSON string.
 
-    ``R`` may be a length-N diagonal or a full N x N matrix, so files written
-    with either layout load.
+    Older files hold a diagonal-noise R (``diag_noise`` true, the default) as
+    an N x N matrix; it must be exactly diagonal, and loads as its diagonal.
     """
     doc = read_json(source)
     R = np.array(doc["R"], dtype=float)
+    if R.ndim == 2 and doc.get("diag_noise", True):
+        if not np.array_equal(R, np.diag(np.diag(R))):
+            raise ConfigError("diag_noise requires an exactly diagonal R")
+        R = np.diag(R)
     return StateSpaceParams(
         A=np.array(doc["A"], dtype=float),
         H=np.array(doc["H"], dtype=float),
         Q=np.array(doc["Q"], dtype=float),
-        R=np.diag(R) if R.ndim == 1 else R,
+        R=R,
         m0=np.array(doc["m0"], dtype=float),
         P0=np.array(doc["P0"], dtype=float),
-        diag_noise=bool(doc.get("diag_noise", True)),
     )

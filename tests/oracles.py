@@ -17,7 +17,8 @@ import numpy as np
 def joint_gaussian(theta, k_total, seasonal=None):
     """Mean and covariance of z = (x_0..x_K, y_1..y_K) under the model."""
     d, n = theta.d, theta.n_obs
-    A, H, Q, R, m0, P0 = theta.A, theta.H, theta.Q, theta.R, theta.m0, theta.P0
+    A, H, Q, m0, P0 = theta.A, theta.H, theta.Q, theta.m0, theta.P0
+    R = np.diag(theta.R) if theta.diag_noise else theta.R
 
     means_x = [np.asarray(m0, dtype=float)]
     for _ in range(k_total):
@@ -158,7 +159,7 @@ def filter_mean_loop(theta, Y, filtered, missing_target_from=None, dtype=np.floa
     Y = np.asarray(Y, dtype=float)
     k_total = Y.shape[1]
     A = theta.A.astype(dtype)
-    r = np.diag(theta.R).astype(dtype)
+    r = theta.R.astype(dtype)
     m = theta.m0.astype(dtype)
     m_preds, means = np.empty((k_total, theta.d), dtype), np.empty((k_total, theta.d), dtype)
     loglik = dtype(0.0)
@@ -249,20 +250,23 @@ def random_spd(rng, dim, scale=1.0):
 
 
 def random_theta(rng, d, n, diag_noise=False):
-    """A random, well-conditioned parameter set for small oracle instances."""
+    """A random, well-conditioned parameter set for small oracle instances.
+
+    With ``diag_noise`` Q is diagonal and R is held as its diagonal vector.
+    """
     from tasc import StateSpaceParams
 
     A = 0.5 * rng.standard_normal((d, d)) / np.sqrt(d)
     H = rng.standard_normal((n, d))
     if diag_noise:
         Q = np.diag(rng.uniform(0.2, 1.0, size=d))
-        R = np.diag(rng.uniform(0.2, 1.0, size=n))
+        R = rng.uniform(0.2, 1.0, size=n)
     else:
         Q = random_spd(rng, d, 0.3)
         R = random_spd(rng, n, 0.3)
     m0 = rng.standard_normal(d)
     P0 = random_spd(rng, d, 0.5)
-    return StateSpaceParams(A=A, H=H, Q=Q, R=R, m0=m0, P0=P0, diag_noise=diag_noise)
+    return StateSpaceParams(A=A, H=H, Q=Q, R=R, m0=m0, P0=P0)
 
 
 def q_function(stats, k_total, A, H, Q, R, m0, P0, m0s, P0s):

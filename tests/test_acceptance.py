@@ -78,7 +78,7 @@ class TestCriterion2InfiniteVariance:
             full = filter_pass(y, theta, missing_target_from=0)
             reduced_theta = StateSpaceParams(
                 A=theta.A, H=theta.H[1:], Q=theta.Q, R=theta.R[1:, 1:],
-                m0=theta.m0, P0=theta.P0, diag_noise=False,
+                m0=theta.m0, P0=theta.P0,
             )
             red = filter_pass(y[1:], reduced_theta)
             worst = max(worst, float(np.max(np.abs(full.m - red.m))))

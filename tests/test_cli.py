@@ -60,7 +60,7 @@ class TestInfer:
         for name in ("A", "H", "Q", "R", "m0", "P0"):
             assert np.array_equal(getattr(written, name), getattr(fitted.theta, name))
         assert written.diag_noise == fitted.theta.diag_noise
-        assert theta_doc["R"] == np.diag(fitted.theta.R).tolist()  # diag_noise: R as its diagonal
+        assert theta_doc["R"] == fitted.theta.R.tolist()  # diag_noise: R is its diagonal
         assert theta_doc["loglik_trace"] == fitted.loglik_trace
 
     def test_sc_vertex_weights_on_identical_donor(self, toy_panel_csv, tmp_path, monkeypatch):
@@ -294,3 +294,22 @@ class TestParsing:
             "--config", str(bad), "--output", str(tmp_path / "o.csv"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("infer", ["--config", '{"em": {"d": "x"}}', "--method", "tasc"]),
+            ("infer", ["--config", '{"rsc": {"d": 2, "cv_grid": 5}}', "--method", "rsc"]),
+            ("bench", ["--regimes", "[1, 2]"]),
+            ("bench", ["--regimes", '[{"d_true": "two", "n_units": 4, "t_total": 12, "t0": 8}]']),
+            ("simulate", ["--config", '{"d_true": 1, "n_units": 4, "t_total": 12, "t0": 8, "a_q": "big"}']),
+        ],
+        ids=["em_d_not_int", "cv_grid_not_list", "regime_not_object", "d_true_not_int", "a_q_not_float"],
+    )
+    def test_malformed_config_value_exits_1(self, toy_panel_csv, tmp_path, capsys, command, extra):
+        path, t0 = toy_panel_csv
+        args = [command, "--output", str(tmp_path / "o.csv"), *extra]
+        if command == "infer":
+            args += ["--input", str(path), "--t0", str(t0)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("tasc: error: ")

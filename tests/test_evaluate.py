@@ -240,7 +240,7 @@ class TestPlaceboFitReuse:
             idx = [rows[label] for label in pseudo.unit_labels]
             theta = pred.theta
             assert np.array_equal(theta.H, first.theta.H[idx])
-            assert np.array_equal(theta.R, first.theta.R[np.ix_(idx, idx)])
+            assert np.array_equal(theta.R, first.theta.R[idx])  # diagonal noise: R is a vector
             for name in ("A", "Q", "m0", "P0"):
                 assert np.array_equal(getattr(theta, name), getattr(first.theta, name))
             assert pred.loglik_trace == first.loglik_trace

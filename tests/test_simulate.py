@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from tasc import (
     simulate,
     snr_stats,
 )
+
+from oracles import random_theta
 
 
 class TestRandomCovariance:
@@ -115,6 +119,18 @@ class TestGenPanel:
             r_ii = float(theta.R[i, i])
             se = r_ii * np.sqrt(2.0 / (t - 1))
             assert abs(var_hat - r_ii) <= 3.0 * se
+
+    def test_diagonal_theta_draws_as_its_matrix(self):
+        # A diagonal-noise theta (R a vector, as EM fits it) draws bitwise the
+        # panel of the same noise held as an N x N diagonal matrix.
+        theta = random_theta(np.random.default_rng(8), 2, 6, diag_noise=True)
+        full = replace(theta, R=np.diag(theta.R))
+        assert theta.diag_noise and not full.diag_noise
+        a = gen_panel(theta, 40, 30, seed=9)
+        b = gen_panel(full, 40, 30, seed=9)
+        for name in ("noise", "signal", "latent"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert a.panel.values.tobytes() == b.panel.values.tobytes()
 
     def test_bad_t0(self):
         theta = gen_params(small_r_config(seed=7))

@@ -59,7 +59,7 @@ _CYCLING_THETA = """
 
 
 def scalar_theta(A=1.0, H=1.0, Q=0.0, R=1.0, m0=0.0, P0=1.0):
-    return StateSpaceParams(A=[[A]], H=[[H]], Q=[[Q]], R=[[R]], m0=[m0], P0=[[P0]])
+    return StateSpaceParams(A=[[A]], H=[[H]], Q=[[Q]], R=[R], m0=[m0], P0=[[P0]])
 
 
 class TestParams:
@@ -82,7 +82,7 @@ class TestParams:
         with pytest.raises(ConfigError):
             StateSpaceParams(
                 A=np.eye(2), H=np.ones((2, 2)), Q=[[1.0, 0.1], [0.1, 1.0]],
-                R=np.eye(2), m0=np.zeros(2), P0=np.eye(2), diag_noise=True,
+                R=np.ones(2), m0=np.zeros(2), P0=np.eye(2),
             )
 
     @pytest.mark.parametrize("name", ["A", "H", "Q", "R", "m0", "P0"])
@@ -146,7 +146,7 @@ class TestParams:
         doc = {
             "d": 2, "n_obs": 4, "diag_noise": True,
             "A": theta.A.tolist(), "H": theta.H.tolist(), "Q": theta.Q.tolist(),
-            "R": theta.R.tolist(), "m0": theta.m0.tolist(), "P0": theta.P0.tolist(),
+            "R": np.diag(theta.R).tolist(), "m0": theta.m0.tolist(), "P0": theta.P0.tolist(),
             "loglik_trace": [-3.5],
         }
         path = tmp_path / "old.theta.json"
@@ -154,7 +154,27 @@ class TestParams:
         back = params_from_json(path)
         for name in ("A", "H", "Q", "R", "m0", "P0"):
             assert np.array_equal(getattr(back, name), getattr(theta, name))
-        assert back.diag_noise
+        assert back.diag_noise and back.R.shape == (4,)
+
+    def test_json_with_full_non_diagonal_r_under_diag_noise_rejected(self):
+        theta = random_theta(np.random.default_rng(2), 2, 4)
+        doc = json.loads(params_to_json(theta))
+        doc["diag_noise"] = True
+        with pytest.raises(ConfigError, match="diag_noise requires an exactly diagonal R"):
+            params_from_json(json.dumps(doc))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 4), n=st.integers(1, 6), diag_noise=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_json_round_trip_bitwise_over_noise_models(self, d, n, diag_noise, seed):
+        theta = random_theta(np.random.default_rng(seed), d, n, diag_noise=diag_noise)
+        back = params_from_json(params_to_json(theta))
+        for name in ("A", "H", "Q", "R", "m0", "P0"):
+            got, ref = getattr(back, name), getattr(theta, name)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
+        assert back.diag_noise == diag_noise
 
 
 class TestKalmanStep:
@@ -170,7 +190,7 @@ class TestKalmanStep:
         theta = random_theta(rng, 2, 3)
         theta = StateSpaceParams(
             A=theta.A, H=np.zeros((3, 2)), Q=theta.Q, R=theta.R,
-            m0=theta.m0, P0=theta.P0, diag_noise=False,
+            m0=theta.m0, P0=theta.P0,
         )
         st = filter_pass(rng.standard_normal((3, 1)), theta)
         assert np.allclose(st.m[0], st.m_pred[0])
@@ -185,7 +205,7 @@ class TestKalmanStep:
     def test_singular_innovation_covariance_raises_with_step(self):
         theta = StateSpaceParams(
             A=np.eye(1), H=np.zeros((2, 1)), Q=[[1.0]],
-            R=np.diag([1e-13, 10.0]), m0=[0.0], P0=[[1.0]],
+            R=[1e-13, 10.0], m0=[0.0], P0=[[1.0]],
         )
         with pytest.raises(NumericalError) as err:
             filter_pass(np.zeros((2, 1)), theta)
@@ -211,7 +231,7 @@ class TestMissingTargetStep:
 
             reduced = StateSpaceParams(
                 A=theta.A, H=theta.H[1:], Q=theta.Q, R=theta.R[1:, 1:],
-                m0=theta.m0, P0=theta.P0, diag_noise=False,
+                m0=theta.m0, P0=theta.P0,
             )
             red = filter_pass(y[1:], reduced)
             assert np.max(np.abs(full.m - red.m)) <= 1e-12
@@ -233,7 +253,7 @@ class TestMissingTargetStep:
         # H = (1,1)', R = diag(r1, 1), Q=0, A=1, P0=1, m0=0, donor obs 1:
         # matches the scalar model H=1, R=1 exactly.
         theta = StateSpaceParams(
-            A=[[1.0]], H=[[1.0], [1.0]], Q=[[0.0]], R=np.diag([3.7, 1.0]),
+            A=[[1.0]], H=[[1.0], [1.0]], Q=[[0.0]], R=[3.7, 1.0],
             m0=[0.0], P0=[[1.0]],
         )
         st = filter_pass(np.array([[np.nan], [1.0]]), theta, missing_target_from=0)
@@ -250,7 +270,7 @@ class TestRtsStep:
         base = random_theta(rng, 2, 3)
         theta = StateSpaceParams(
             A=base.A, H=np.zeros((3, 2)), Q=base.Q, R=base.R,
-            m0=base.m0, P0=base.P0, diag_noise=False,
+            m0=base.m0, P0=base.P0,
         )
         filt = filter_pass(rng.standard_normal((3, 1)), theta)
         smoothed = smooth_pass(filt, theta)
@@ -262,7 +282,7 @@ class TestRtsStep:
         base = random_theta(rng, 2, 3)
         theta = StateSpaceParams(
             A=np.zeros((2, 2)), H=base.H, Q=base.Q, R=base.R,
-            m0=base.m0, P0=base.P0, diag_noise=False,
+            m0=base.m0, P0=base.P0,
         )
         Y = rng.standard_normal((3, 5))
         filt = filter_pass(Y, theta)
@@ -283,11 +303,24 @@ class TestRtsStep:
     def test_singular_prediction_covariance_raises(self):
         theta = StateSpaceParams(
             A=np.zeros((2, 2)), H=np.eye(2), Q=np.diag([1e-13, 1.0]),
-            R=np.eye(2), m0=np.zeros(2), P0=np.eye(2),
+            R=np.ones(2), m0=np.zeros(2), P0=np.eye(2),
         )
         filt = filter_pass(np.zeros((2, 2)), theta)
         with pytest.raises(NumericalError):
             smooth_pass(filt, theta)
+
+    def test_semidefinite_prediction_covariance_raises_at_last_step(self):
+        # P_pred = Q = diag(0, 1) at every step: the filter takes a PSD square
+        # root of it, but the smoother needs its Cholesky factor.
+        theta = StateSpaceParams(
+            A=np.zeros((2, 2)), H=np.eye(2), Q=np.diag([0.0, 1.0]),
+            R=np.ones(2), m0=np.zeros(2), P0=np.eye(2),
+        )
+        filt = filter_pass(np.zeros((2, 3)), theta)
+        assert not filt.chol_e.any()
+        with pytest.raises(NumericalError, match="^one-step prediction covariance is not positive definite$") as err:
+            smooth_pass(filt, theta)
+        assert err.value.step == 2
 
 
 class TestFilterPass:
@@ -327,12 +360,12 @@ class TestFilterPass:
         A = 0.8 * np.eye(d) + 0.05 * rng.standard_normal((d, d))
         H = rng.standard_normal((n, d))
         theta_gen = StateSpaceParams(
-            A=A, H=H, Q=1e-18 * np.eye(d), R=1e-18 * np.eye(n),
+            A=A, H=H, Q=1e-18 * np.eye(d), R=np.full(n, 1e-18),
             m0=rng.standard_normal(d), P0=1e-18 * np.eye(d),
         )
         sim = gen_panel(theta_gen, t_total=30, t0=1, seed=10)
         theta_filter = StateSpaceParams(
-            A=A, H=H, Q=1e-12 * np.eye(d), R=np.diag([1.0] + [1e-10] * (n - 1)),
+            A=A, H=H, Q=1e-12 * np.eye(d), R=[1.0] + [1e-10] * (n - 1),
             m0=theta_gen.m0, P0=np.eye(d),
         )
         states = filter_pass(sim.panel.values, theta_filter, missing_target_from=0)
@@ -475,8 +508,8 @@ class TestMeanScan:
         A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
         theta = StateSpaceParams(
             A=A, H=rng.standard_normal((n, d)), Q=np.diag(rng.uniform(0.1, 1.0, size=d)),
-            R=np.diag(10.0 ** rng.uniform(-6.0, 5.0, size=n)), m0=rng.standard_normal(d),
-            P0=np.eye(d), diag_noise=True,
+            R=10.0 ** rng.uniform(-6.0, 5.0, size=n), m0=rng.standard_normal(d),
+            P0=np.eye(d),
         )
         Y = rng.standard_normal((n, k_total))
         filtered = filter_pass(Y, theta, missing_target_from=cut)
@@ -543,7 +576,7 @@ class TestLogLikelihood:
         theta = random_theta(rng, 1, 2, diag_noise=True)
         doubled = StateSpaceParams(
             A=theta.A, H=theta.H, Q=theta.Q, R=2.0 * theta.R,
-            m0=theta.m0, P0=theta.P0, diag_noise=True,
+            m0=theta.m0, P0=theta.P0,
         )
         diffs = []
         for seed in range(100):
@@ -558,7 +591,7 @@ class TestLogLikelihood:
         Y = rng.standard_normal((3, 4))
         reduced = StateSpaceParams(
             A=theta.A, H=theta.H[1:], Q=theta.Q, R=theta.R[1:, 1:],
-            m0=theta.m0, P0=theta.P0, diag_noise=False,
+            m0=theta.m0, P0=theta.P0,
         )
         ll_missing = log_likelihood(Y, theta, missing_target_from=0)
         ll_reduced = log_likelihood(Y[1:], reduced)
@@ -576,6 +609,20 @@ class TestSeasonal:
         plain = filter_pass(Y, theta)
         assert np.allclose(with_seasonal.m, plain.m)
         assert np.allclose(with_seasonal.P, plain.P)
+
+    @pytest.mark.parametrize(
+        "seasonal, message",
+        [
+            (np.zeros((1, 5)), "seasonal offsets must be a 1-D vector"),
+            ([0.0, np.nan, 0.0, 0.0, 0.0], "seasonal offsets must be finite"),
+            ([0.0, 0.0, np.inf, 0.0, 0.0], "seasonal offsets must be finite"),
+        ],
+        ids=["2d", "nan", "inf"],
+    )
+    def test_malformed_seasonal_rejected(self, seasonal, message):
+        theta = random_theta(np.random.default_rng(18), 1, 2)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            filter_pass(np.zeros((2, 5)), theta, seasonal=seasonal)
 
     def test_seasonal_length_checked(self):
         rng = np.random.default_rng(18)
