@@ -32,7 +32,6 @@ from .panel import (
     save_csv,
     save_metadata,
     split,
-    stack_multivariate,
 )
 from .ssm import (
     FilteredTrajectory,
@@ -59,7 +58,6 @@ from .baselines import (
     DonorWeights,
     RscConfig,
     hsvt,
-    project_simplex,
     rsc_fit,
     sc_fit,
     sc_predict,

@@ -28,7 +28,6 @@ __all__ = [
     "sc_predict",
     "hsvt",
     "rsc_fit",
-    "project_simplex",
     "weights_to_json",
     "weights_from_json",
 ]
@@ -85,19 +84,6 @@ class RscFit:
     denoised: np.ndarray
     lambda_: float
     cv_errors: dict[float, float] | None = None
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sorting method)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    tau = css[rho - 1] / rho
-    out = np.maximum(v - tau, 0.0)
-    return out / out.sum()
 
 
 # Wolfe's tolerances: a weight at or below _ZERO is zero, and the ratio test

@@ -65,6 +65,20 @@ def _pick(args_value, config: dict, key: str, default):
     return config.get(key, default)
 
 
+def _config_int(value, key: str) -> int:
+    """A config integer; strings and floats are rejected rather than parsed or truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _config_bool(value, key: str) -> bool:
+    """A config boolean; only JSON true/false, since bool("false") is true."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _build_estimator(args, config: dict) -> Estimator:
     method = _pick(getattr(args, "method", None), config, "method", None)
     if method is None:
@@ -72,7 +86,7 @@ def _build_estimator(args, config: dict) -> Estimator:
     try:
         seed = int(_pick(args.seed, config, "seed", 0))
         level = float(_pick(getattr(args, "level", None), config, "level", 0.95))
-        center = bool(getattr(args, "center", False) or config.get("center", False))
+        center = getattr(args, "center", False) or _config_bool(config.get("center", False), "center")
 
         em_doc = dict(config.get("em", {}))
         rsc_doc = dict(config.get("rsc", {}))
@@ -95,7 +109,7 @@ def _build_estimator(args, config: dict) -> Estimator:
                 rel_tol=float(em_doc.get("rel_tol", 1e-6)),
                 n_restarts=int(em_doc.get("n_restarts", 5)),
                 seed=seed,
-                diag_noise=bool(em_doc.get("diag_noise", True)),
+                diag_noise=_config_bool(em_doc.get("diag_noise", True), "em.diag_noise"),
             )
         rsc = None
         if method == "rsc":
@@ -123,9 +137,9 @@ def _load_panel(args, config: dict) -> PanelData:
     t0 = _pick(getattr(args, "t0", None), config, "t0", None)
     if t0 is None:
         raise ConfigError("the intervention index is required (--t0 or config t0)")
-    has_header = not bool(getattr(args, "no_header", False) or config.get("no_header", False))
-    target_row = int(_pick(getattr(args, "target_row", None), config, "target_row", 0))
-    return load_csv(path, t0=int(t0), has_header=has_header, target_row=target_row)
+    no_header = getattr(args, "no_header", False) or _config_bool(config.get("no_header", False), "no_header")
+    target_row = _config_int(_pick(getattr(args, "target_row", None), config, "target_row", 0), "target_row")
+    return load_csv(path, t0=_config_int(t0, "t0"), has_header=not no_header, target_row=target_row)
 
 
 def _write_table(rows: list[dict], fieldnames: list[str], out: Path, fmt: str, meta: dict) -> None:
@@ -215,7 +229,10 @@ def cmd_placebo(args, argv: list[str]) -> int:
     estimator = _build_estimator(args, config)
     seed = int(_pick(args.seed, config, "seed", 0))
     meta = _meta(argv, seed)
-    ratios = [float(r) for r in args.ratio.split(",")] if args.ratio else [10.0, 5.0, 2.0]
+    try:
+        ratios = [float(r) for r in args.ratio.split(",")] if args.ratio else [10.0, 5.0, 2.0]
+    except ValueError:
+        raise ConfigError(f"--ratio must be comma-separated numbers, got {args.ratio!r}") from None
 
     result = placebo_suite(panel, estimator, seed=seed)
     target_pred = fit_predict(panel, estimator, seed=seed)

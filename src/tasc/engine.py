@@ -23,7 +23,6 @@ from .ssm import (
     SmoothedTrajectory,
     StateSpaceParams,
     _forward,
-    _seasonal_array,
     smooth_pass,
 )
 
@@ -69,7 +68,6 @@ class EmConfig:
     n_restarts: int = 5
     seed: int = 0
     diag_noise: bool = True
-    seasonal: np.ndarray | None = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -89,7 +87,7 @@ class SufficientStats:
     ``sigma``/``phi`` are the current/lagged state moments, ``b`` the
     observation-state cross moment, ``c`` the lag-one state cross moment, and
     ``d`` the observation outer-product moment, each averaged over k = 1..K.
-    ``Y`` is the offset-free N x K data, kept by reference; ``d`` is formed
+    ``Y`` is the N x K data, kept by reference; ``d`` is formed
     from it on access, because the diagonal-noise M-step needs only its
     diagonal.
     """
@@ -111,8 +109,7 @@ class CounterfactualEstimate:
 
     ``var_signal`` is the smoothed latent contribution h1' P h1 per period and
     ``var_pred`` adds the target's observation-noise variance.  The interval
-    bounds are Gaussian at the configured ``level`` using ``ci_variance``
-    ("prediction" or "signal").
+    bounds are Gaussian at the configured ``level`` with variance ``var_pred``.
     """
 
     y_hat: np.ndarray
@@ -122,7 +119,6 @@ class CounterfactualEstimate:
     ci_upper: np.ndarray
     fitted_pre: np.ndarray
     level: float
-    ci_variance: str = "prediction"
 
 
 @dataclass(frozen=True)
@@ -172,11 +168,7 @@ def init_params(Y_pre: np.ndarray, config: EmConfig, restart_index: int = 0) -> 
 
 
 def accumulate_stats(smoothed: SmoothedTrajectory, Y: np.ndarray) -> SufficientStats:
-    """Average the five moment matrices over k = 1..K.
-
-    ``Y`` must already have any seasonal offset removed: the statistics feed a
-    maximizer of the offset-free observation model.
-    """
+    """Average the five moment matrices over k = 1..K."""
     Y = np.asarray(Y, dtype=float)
     k_total = Y.shape[1]
     if len(smoothed) != k_total + 1:
@@ -246,13 +238,9 @@ def _em_single(Y_pre: np.ndarray, config: EmConfig, restart_index: int) -> tuple
     theta = init_params(Y_pre, config, restart_index)
     if config.n_iters == 0:
         return theta, []
-    k_total = Y_pre.shape[1]
-    s = _seasonal_array(config.seasonal, k_total)
-    Y_stats = Y_pre if s is None else Y_pre - s[:k_total]
-
     trace: list[float] = []
     for it in range(config.n_iters + 1):  # the last pass only scores the final theta
-        filtered, ll = _forward(Y_pre, theta, seasonal=s)
+        filtered, ll = _forward(Y_pre, theta)
         if trace and ll < trace[-1] - _MONOTONE_SLACK:
             raise NumericalError(f"EM log-likelihood decreased from {trace[-1]:.6f} to {ll:.6f}")
         converged = bool(trace) and ll - trace[-1] < config.rel_tol * max(1.0, abs(trace[-1]))
@@ -260,7 +248,7 @@ def _em_single(Y_pre: np.ndarray, config: EmConfig, restart_index: int) -> tuple
         if converged or it == config.n_iters:
             return theta, trace
         smoothed = smooth_pass(filtered, theta)
-        stats = accumulate_stats(smoothed, Y_stats)
+        stats = accumulate_stats(smoothed, Y_pre)
         theta = m_step(stats, theta, smoothed.m_s[0], smoothed.P_s[0])
 
 
@@ -305,7 +293,6 @@ def tasc_infer(
     panel: PanelData,
     config: EmConfig,
     level: float = 0.95,
-    ci_variance: str = "prediction",
     em: EmResult | None = None,
 ) -> TascResult:
     """Learn the model on pre-intervention columns, then infer the counterfactual.
@@ -314,20 +301,15 @@ def tasc_infer(
     intervention on (its stored post values never matter), a smoothing pass
     refines every state, and the counterfactual mean per post period is the
     target loading applied to the smoothed state.  Intervals are Gaussian with
-    variance ``var_pred`` (signal plus target noise) by default, or
-    ``var_signal`` when ``ci_variance="signal"``.
+    variance ``var_pred`` (signal plus target noise).
 
     A given ``em`` replaces the EM fit: only the counterfactual pass runs,
     with its theta, whose rows must follow the panel's rows.  ``config`` then
-    supplies only ``d`` (checked against theta) and the seasonal offsets.
+    supplies only ``d``, which is checked against theta.
     """
     if not 0.0 < level < 1.0:
         raise ConfigError("confidence level must be in (0, 1)")
-    if ci_variance not in ("prediction", "signal"):
-        raise ConfigError("ci_variance must be 'prediction' or 'signal'")
     t0 = panel.t0
-    t_total = panel.n_periods
-    s = _seasonal_array(config.seasonal, t_total)
 
     if em is None:
         em = em_pre(panel.values[:, :t0], config)
@@ -338,20 +320,18 @@ def tasc_infer(
         )
     theta = em.theta
 
-    filtered, _ = _forward(panel.values, theta, seasonal=s, missing_target_from=t0)
+    filtered, _ = _forward(panel.values, theta, missing_target_from=t0)
     smoothed = smooth_pass(filtered, theta)
 
     h1 = theta.H[0]
     r1 = float(theta.R[0] if theta.diag_noise else theta.R[0, 0])
     proj = smoothed.m_s[1:] @ h1  # length T, index t is period t (0-based)
-    if s is not None:
-        proj = proj + s[:t_total]
     fitted_pre = proj[:t0]
     y_hat = proj[t0:]
     var_signal = np.maximum(np.einsum("i,kij,j->k", h1, smoothed.P_s[t0 + 1 :], h1), 0.0)
     var_pred = var_signal + r1
     z = float(norm.ppf(0.5 + level / 2.0))
-    width = z * np.sqrt(var_pred if ci_variance == "prediction" else var_signal)
+    width = z * np.sqrt(var_pred)
     estimate = CounterfactualEstimate(
         y_hat=y_hat,
         var_signal=var_signal,
@@ -360,7 +340,6 @@ def tasc_infer(
         ci_upper=y_hat + width,
         fitted_pre=fitted_pre,
         level=level,
-        ci_variance=ci_variance,
     )
     return TascResult(theta=theta, estimate=estimate, loglik_trace=em.loglik_trace)
 

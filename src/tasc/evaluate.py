@@ -133,7 +133,7 @@ def fit_predict(panel: PanelData, estimator: Estimator, seed: int | None = None)
     offset = None
     work = panel
     if estimator.center:
-        centered = mean_center(panel, basis="donors")
+        centered = mean_center(panel)
         work = centered.panel
         offset = centered.mean_trajectory
 
@@ -201,6 +201,8 @@ def placebo_suite(panel: PanelData, estimator: Estimator, seed: int = 0) -> Plac
     with that fit, its rows permuted to the donor's order.  With ``center``
     the pseudo-panels differ in data, so every donor refits.
     """
+    if panel.n_donors < 2:
+        raise ConfigError(f"a placebo suite needs at least 2 donors (got {panel.n_donors})")
     entries: list[PlaceboEntry] = []
     donor_rows = list(range(1, panel.n_units))
     reuse = estimator.method == "tasc" and not estimator.center

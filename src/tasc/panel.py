@@ -1,4 +1,4 @@
-"""Panel-data model: ingestion, centering, splitting, permutation, stacking.
+"""Panel-data model: ingestion, centering, splitting, permutation.
 
 A panel is an N x T outcome matrix whose first row is the treated target unit
 and whose remaining rows are untreated donor units.  The first ``t0`` columns
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -29,7 +29,6 @@ __all__ = [
     "mean_center",
     "split",
     "permute_columns",
-    "stack_multivariate",
     "panel_metadata",
     "save_metadata",
     "load_metadata",
@@ -106,20 +105,10 @@ class PanelData:
 
 @dataclass(frozen=True)
 class CenteredPanel:
-    """A panel with a per-period mean trajectory subtracted from every row.
-
-    ``uncenter`` returns the exact source panel (kept by reference, so the
-    round trip is bitwise).
-    """
+    """A panel with a per-period mean trajectory subtracted from every row."""
 
     panel: PanelData
     mean_trajectory: np.ndarray
-    source: PanelData = field(repr=False, compare=False, default=None)
-
-    def uncenter(self) -> PanelData:
-        if self.source is not None:
-            return self.source
-        return self.panel.with_values(self.panel.values + self.mean_trajectory)
 
 
 def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
@@ -263,20 +252,10 @@ def load_metadata(source: str | Path) -> dict:
     return meta
 
 
-def mean_center(panel: PanelData, basis: str = "donors") -> CenteredPanel:
-    """Subtract the per-period mean trajectory of the basis rows from every row.
-
-    ``basis="donors"`` averages donor rows only (the default protocol for real
-    data); ``basis="all"`` includes the target row, skipping missing cells.
-    """
-    if basis == "donors":
-        mean = panel.values[1:].mean(axis=0)
-    elif basis == "all":
-        mean = np.nanmean(panel.values, axis=0)
-    else:
-        raise ConfigError(f"unknown centering basis {basis!r} (expected 'donors' or 'all')")
-    centered = panel.with_values(panel.values - mean)
-    return CenteredPanel(panel=centered, mean_trajectory=mean, source=panel)
+def mean_center(panel: PanelData) -> CenteredPanel:
+    """Subtract the per-period mean of the donor rows from every row."""
+    mean = panel.values[1:].mean(axis=0)
+    return CenteredPanel(panel=panel.with_values(panel.values - mean), mean_trajectory=mean)
 
 
 def split(panel: PanelData) -> tuple[np.ndarray, np.ndarray]:
@@ -305,29 +284,3 @@ def permute_columns(panel: PanelData, perm_pre: Sequence[int], perm_post: Sequen
     values = panel.values[:, order]
     labels = tuple(panel.time_labels[i] for i in order)
     return PanelData(values, t0, panel.unit_labels, labels, panel.target_post_missing)
-
-
-def stack_multivariate(panels: Sequence[PanelData]) -> PanelData:
-    """Stack panels of parallel outcome series vertically into one panel.
-
-    All panels must share N, T, t0 and unit ordering.  Series ``s`` of unit
-    ``i`` lands at row ``s*N + i``; the stacked target is the first panel's
-    target row, and only that row may carry missing post values.
-    """
-    if not panels:
-        raise ConfigError("need at least one panel to stack")
-    if len(panels) == 1:
-        return panels[0]
-    first = panels[0]
-    for p in panels[1:]:
-        if p.values.shape != first.values.shape or p.t0 != first.t0:
-            raise ConfigError("stacked panels must share dimensions and t0")
-        if p.unit_labels != first.unit_labels:
-            raise ConfigError("stacked panels must share unit ordering")
-        if p.target_post_missing:
-            raise ConfigError("only the first panel's target may have missing post values")
-    values = np.vstack([p.values for p in panels])
-    labels: list[str] = list(first.unit_labels)
-    for s in range(1, len(panels)):
-        labels.extend(f"{name}::{s}" for name in first.unit_labels)
-    return PanelData(values, first.t0, tuple(labels), first.time_labels, first.target_post_missing)

@@ -2,12 +2,11 @@
 
 The model is
 
-    x_t = A x_{t-1} + q_t,        q_t ~ N(0, Q),   x_0 ~ N(m0, P0)
-    y_t = H x_t + s_t * 1 + r_t,  r_t ~ N(0, R)
+    x_t = A x_{t-1} + q_t,   q_t ~ N(0, Q),   x_0 ~ N(m0, P0)
+    y_t = H x_t + r_t,       r_t ~ N(0, R)
 
-with a d-dimensional latent state, N-dimensional observations and an optional
-per-period scalar seasonal offset s_t.  This module provides the forward
-(Kalman) recursion, a variant that treats the target row of y_t as missing by
+with a d-dimensional latent state and N-dimensional observations.  This
+module provides the forward (Kalman) recursion, a variant that treats the target row of y_t as missing by
 sending its observation-noise variance to infinity, the backward (RTS)
 smoothing recursion, and the innovation log-likelihood.
 
@@ -308,24 +307,10 @@ def _linear_scan(F: np.ndarray, g: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return x
 
 
-def _seasonal_array(seasonal, k_total: int) -> np.ndarray | None:
-    """Per-period scalar offsets added to every observation coordinate, checked for ``k_total`` periods."""
-    if seasonal is None:
-        return None
-    s = np.asarray(seasonal, dtype=float)
-    if s.ndim != 1:
-        raise ConfigError("seasonal offsets must be a 1-D vector")
-    if s.shape[0] < k_total:
-        raise ConfigError(f"seasonal offsets cover {s.shape[0]} periods, need {k_total}")
-    if not np.isfinite(s).all():
-        raise ConfigError("seasonal offsets must be finite")
-    return s
-
-
 def _forward(
     Y: np.ndarray,
     theta: StateSpaceParams,
-    seasonal=None,
+    *,
     missing_target_from: int | None = None,
 ) -> tuple[FilteredTrajectory, float]:
     """Forward pass returning the filtered trajectory and the innovation log-likelihood.
@@ -346,7 +331,6 @@ def _forward(
     if Y.shape[0] != theta.n_obs:
         raise ConfigError(f"Y has {Y.shape[0]} rows but H has {theta.n_obs}")
     k_total = Y.shape[1]
-    s = _seasonal_array(seasonal, k_total)
     cut = k_total if missing_target_from is None else min(max(0, missing_target_from), k_total)
 
     entries: list[tuple] = []
@@ -365,7 +349,7 @@ def _forward(
     m_last, loglik = theta.m0, 0.0
     for cols, obs, cov in segments:
         Hw, J = obs.Hw, obs.J
-        Yw = obs.whiten(Y[obs.rows, cols] if s is None else Y[obs.rows, cols] - s[cols])
+        Yw = obs.whiten(Y[obs.rows, cols])
         Z = Yw.T @ Hw  # row j is z for column j
         F = (np.eye(theta.d) - LW[cov] @ J) @ A
         m[cols] = _linear_scan(F, np.einsum("kij,kj->ki", LW[cov], Z), m_last)
@@ -390,7 +374,7 @@ def _forward(
 def filter_pass(
     Y: np.ndarray,
     theta: StateSpaceParams,
-    seasonal=None,
+    *,
     missing_target_from: int | None = None,
 ) -> FilteredTrajectory:
     """Run the forward recursion over the columns of ``Y``.
@@ -400,7 +384,7 @@ def filter_pass(
     Returns the K predicted and filtered moments as one
     :class:`FilteredTrajectory`.
     """
-    filtered, _ = _forward(Y, theta, seasonal, missing_target_from)
+    filtered, _ = _forward(Y, theta, missing_target_from=missing_target_from)
     return filtered
 
 
@@ -463,11 +447,11 @@ def smooth_pass(filtered: FilteredTrajectory, theta: StateSpaceParams) -> Smooth
 def log_likelihood(
     Y: np.ndarray,
     theta: StateSpaceParams,
-    seasonal=None,
+    *,
     missing_target_from: int | None = None,
 ) -> float:
     """Innovation log-likelihood: sum of log N(v_k; 0, S_k) over the pass."""
-    _, loglik = _forward(Y, theta, seasonal, missing_target_from)
+    _, loglik = _forward(Y, theta, missing_target_from=missing_target_from)
     return loglik
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def joint_gaussian(theta, k_total, seasonal=None):
+def joint_gaussian(theta, k_total):
     """Mean and covariance of z = (x_0..x_K, y_1..y_K) under the model."""
     d, n = theta.d, theta.n_obs
     A, H, Q, m0, P0 = theta.A, theta.H, theta.Q, theta.m0, theta.P0
@@ -53,8 +53,7 @@ def joint_gaussian(theta, k_total, seasonal=None):
         for k in range(k_total + 1):
             cov[xs(j), xs(k)] = cov_xx(j, k)
     for k in range(1, k_total + 1):
-        s_k = 0.0 if seasonal is None else float(seasonal[k - 1])
-        mean[ys(k)] = H @ means_x[k] + s_k
+        mean[ys(k)] = H @ means_x[k]
         for j in range(k_total + 1):
             cxy = cov_xx(j, k) @ H.T
             cov[xs(j), ys(k)] = cxy
@@ -96,10 +95,10 @@ def _observed_coords(Y, ys, upto, missing_target_from):
     return np.array(idx, dtype=int), np.array(vals)
 
 
-def observed_log_density(theta, Y, seasonal=None, missing_target_from=None):
+def observed_log_density(theta, Y, missing_target_from=None):
     """Gaussian log-density of every observed cell of Y under the joint model."""
     Y = np.asarray(Y, dtype=float)
-    mean, cov, _, ys = joint_gaussian(theta, Y.shape[1], seasonal)
+    mean, cov, _, ys = joint_gaussian(theta, Y.shape[1])
     idx, vals = _observed_coords(Y, ys, Y.shape[1], missing_target_from)
     sob = cov[np.ix_(idx, idx)]
     resid = vals - mean[idx]
@@ -108,7 +107,7 @@ def observed_log_density(theta, Y, seasonal=None, missing_target_from=None):
     return -0.5 * (idx.size * np.log(2.0 * np.pi) + logdet + quad)
 
 
-def conditioned_moments(theta, Y, seasonal=None, missing_target_from=None):
+def conditioned_moments(theta, Y, missing_target_from=None):
     """Filtered and smoothed state moments by direct joint-Gaussian conditioning.
 
     ``missing_target_from`` is the 0-based column index from which the target
@@ -120,7 +119,7 @@ def conditioned_moments(theta, Y, seasonal=None, missing_target_from=None):
     Y = np.asarray(Y, dtype=float)
     n, k_total = Y.shape
     d = theta.d
-    mean, cov, xs, ys = joint_gaussian(theta, k_total, seasonal)
+    mean, cov, xs, ys = joint_gaussian(theta, k_total)
 
     def obs_coords(upto):
         return _observed_coords(Y, ys, upto, missing_target_from)

@@ -10,7 +10,6 @@ from tasc import (
     RscConfig,
     SolverError,
     hsvt,
-    project_simplex,
     rsc_fit,
     sc_fit,
     sc_predict,
@@ -48,20 +47,6 @@ def random_simplex_instance(data, min_n=1, kinds=("outside",)):
         donors = rng.standard_normal((n, t0))
     y = rng.dirichlet(np.ones(n)) @ donors if kind == "inside" else rng.standard_normal(t0)
     return y, donors
-
-
-class TestProjectSimplex:
-    def test_already_feasible(self):
-        f = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(project_simplex(f), f)
-
-    def test_projection_properties(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            v = rng.standard_normal(rng.integers(1, 8)) * 3
-            p = project_simplex(v)
-            assert np.all(p >= 0)
-            assert np.isclose(p.sum(), 1.0)
 
 
 class TestScFit:

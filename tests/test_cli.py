@@ -313,3 +313,26 @@ class TestParsing:
             args += ["--input", str(path), "--t0", str(t0)]
         assert main(args) == 1
         assert capsys.readouterr().err.startswith("tasc: error: ")
+
+    @pytest.mark.parametrize(
+        "command, extra, named",
+        [
+            ("infer", ["--method", "sc", "--config", '{"t0": "x"}'], "t0"),
+            ("infer", ["--method", "sc", "--config", '{"t0": 12.7}'], "t0"),
+            ("infer", ["--method", "sc", "--t0", "16", "--config", '{"target_row": "x"}'], "target_row"),
+            ("infer", ["--method", "sc", "--t0", "16", "--config", '{"center": "false"}'], "center"),
+            ("infer", ["--method", "sc", "--t0", "16", "--config", '{"no_header": "false"}'], "no_header"),
+            ("infer", ["--method", "tasc", "--t0", "16", "--config", '{"em": {"d": 1, "diag_noise": "false"}}'],
+             "em.diag_noise"),
+            ("placebo", ["--method", "sc", "--t0", "16", "--ratio", "a,b"], "--ratio"),
+            ("placebo", ["--method", "sc", "--t0", "16", "--ratio", "1,,2"], "--ratio"),
+        ],
+        ids=["t0_str", "t0_float", "target_row_str", "center_str", "no_header_str", "diag_noise_str",
+             "ratio_word", "ratio_empty"],
+    )
+    def test_config_value_of_wrong_type_exits_1(self, toy_panel_csv, tmp_path, capsys, command, extra, named):
+        path, _ = toy_panel_csv
+        assert main([command, "--input", str(path), "--output", str(tmp_path / "o.csv"), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"tasc: error: {named} must be ")
+        assert not (tmp_path / "o.csv").exists()

@@ -370,19 +370,6 @@ class TestTascInfer:
         assert np.array_equal(a.estimate.ci_lower, b.estimate.ci_lower)
         assert a.loglik_trace == b.loglik_trace
 
-    def test_ci_variance_modes(self):
-        panel = self_similar_panel()
-        config = EmConfig(d=1, n_iters=10, n_restarts=1, seed=3)
-        pred_mode = tasc_infer(panel, config, ci_variance="prediction")
-        sig_mode = tasc_infer(panel, config, ci_variance="signal")
-        assert confidence_width(pred_mode.estimate) >= confidence_width(sig_mode.estimate)
-
-    def test_seasonal_offsets_shorter_than_panel_rejected(self):
-        panel = self_similar_panel()
-        config = EmConfig(d=1, n_iters=2, n_restarts=1, seasonal=np.zeros(panel.n_periods - 1))
-        with pytest.raises(ConfigError, match="seasonal offsets cover 29 periods, need 30"):
-            tasc_infer(panel, config)
-
     def test_bad_level_rejected(self):
         panel = self_similar_panel()
         with pytest.raises(ConfigError):

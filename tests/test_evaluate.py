@@ -130,6 +130,11 @@ class TestPlaceboSuite:
         assert len(result.entries) == 2
         assert [e.unit_label for e in result.entries] == ["unit1", "unit2"]
 
+    def test_one_donor_panel_rejected_up_front(self):
+        panel = make_panel(np.arange(10.0).reshape(2, 5), 3)
+        with pytest.raises(ConfigError, match=r"^a placebo suite needs at least 2 donors \(got 1\)$"):
+            placebo_suite(panel, SC, seed=0)
+
     def test_identical_rows_fit_exactly_under_sc(self):
         base = np.linspace(0.0, 4.0, 10)
         values = np.vstack([base, base, base, base])

@@ -15,7 +15,6 @@ from tasc import (
     save_csv,
     save_metadata,
     split,
-    stack_multivariate,
 )
 
 CSV_3X4 = """unit,t0,t1,t2,t3
@@ -213,40 +212,17 @@ class TestMeanCenter:
     def test_constant_rows_center_to_zero(self):
         c = np.array([3.0, 1.0, 4.0, 1.5])
         values = np.tile(c, (3, 1))
-        centered = mean_center(make_panel(values, 2), basis="donors")
+        centered = mean_center(make_panel(values, 2))
         assert np.allclose(centered.mean_trajectory, c)
         assert np.allclose(centered.panel.values, 0.0)
 
     def test_two_donor_hand_example(self):
         # donors (1,2,3) and (3,4,5): donor mean (2,3,4), centered donors -/+1.
         values = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [3.0, 4.0, 5.0]])
-        centered = mean_center(make_panel(values, 2), basis="donors")
+        centered = mean_center(make_panel(values, 2))
         assert np.array_equal(centered.mean_trajectory, [2.0, 3.0, 4.0])
         assert np.array_equal(centered.panel.values[1], [-1.0, -1.0, -1.0])
         assert np.array_equal(centered.panel.values[2], [1.0, 1.0, 1.0])
-
-    def test_round_trip_bitwise(self):
-        rng = np.random.default_rng(11)
-        values = rng.standard_normal((5, 7)) * 1e3 + 1e-7
-        panel = make_panel(values, 4)
-        for basis in ("donors", "all"):
-            centered = mean_center(panel, basis=basis)
-            restored = centered.uncenter()
-            assert np.array_equal(restored.values, panel.values)
-
-    def test_all_basis_includes_target(self):
-        values = np.array([[4.0, 4.0], [0.0, 0.0], [2.0, 2.0]])
-        centered = mean_center(make_panel(values, 1), basis="all")
-        assert np.allclose(centered.mean_trajectory, [2.0, 2.0])
-
-    def test_all_basis_skips_missing_cells(self):
-        values = np.array([[4.0, np.nan], [0.0, 0.0], [2.0, 2.0]])
-        centered = mean_center(make_panel(values, 1, missing=True), basis="all")
-        assert np.allclose(centered.mean_trajectory, [2.0, 1.0])
-
-    def test_unknown_basis(self):
-        with pytest.raises(ConfigError):
-            mean_center(make_panel(np.ones((3, 4)), 2), basis="nope")
 
 
 class TestSplit:
@@ -310,24 +286,3 @@ class TestPermuteColumns:
             out = permute_columns(panel, rng.permutation(t0), t0 + rng.permutation(t - t0))
             pre_cols = {tuple(col) for col in panel.values[:, :t0].T}
             assert {tuple(col) for col in out.values[:, :t0].T} == pre_cols
-
-
-class TestStackMultivariate:
-    def test_single_panel_identity(self):
-        panel = make_panel(np.ones((3, 4)), 2)
-        assert stack_multivariate([panel]) is panel
-
-    def test_two_panel_layout(self):
-        p1 = make_panel(np.zeros((3, 4)), 2)
-        p2 = make_panel(np.ones((3, 4)), 2)
-        out = stack_multivariate([p1, p2])
-        assert out.values.shape == (6, 4)
-        assert np.array_equal(out.values[:3], p1.values)
-        assert np.array_equal(out.values[3:], p2.values)
-        assert out.unit_labels[3] == "u0::1"
-
-    def test_dimension_mismatch(self):
-        p1 = make_panel(np.zeros((3, 4)), 2)
-        p2 = make_panel(np.ones((3, 5)), 2)
-        with pytest.raises(ConfigError):
-            stack_multivariate([p1, p2])

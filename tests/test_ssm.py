@@ -211,13 +211,6 @@ class TestKalmanStep:
             filter_pass(np.zeros((2, 1)), theta)
         assert err.value.step == 1
 
-    def test_seasonal_offset_shifts_innovation(self):
-        theta = scalar_theta()
-        plain = filter_pass(np.array([[1.0]]), theta)
-        shifted = filter_pass(np.array([[3.0]]), theta, seasonal=[2.0])
-        assert np.allclose(plain.m, shifted.m)
-        assert np.allclose(plain.P, shifted.P)
-
 
 class TestMissingTargetStep:
     def test_equivalent_to_donor_reduced_model(self):
@@ -596,36 +589,3 @@ class TestLogLikelihood:
         ll_missing = log_likelihood(Y, theta, missing_target_from=0)
         ll_reduced = log_likelihood(Y[1:], reduced)
         assert np.isclose(ll_missing, ll_reduced, atol=1e-10)
-
-
-class TestSeasonal:
-    def test_filter_with_seasonal_equals_shifted_data(self):
-        rng = np.random.default_rng(17)
-        theta = random_theta(rng, 2, 3)
-        Y = rng.standard_normal((3, 6))
-        s = rng.standard_normal(6)
-        shifted = Y + s
-        with_seasonal = filter_pass(shifted, theta, seasonal=s)
-        plain = filter_pass(Y, theta)
-        assert np.allclose(with_seasonal.m, plain.m)
-        assert np.allclose(with_seasonal.P, plain.P)
-
-    @pytest.mark.parametrize(
-        "seasonal, message",
-        [
-            (np.zeros((1, 5)), "seasonal offsets must be a 1-D vector"),
-            ([0.0, np.nan, 0.0, 0.0, 0.0], "seasonal offsets must be finite"),
-            ([0.0, 0.0, np.inf, 0.0, 0.0], "seasonal offsets must be finite"),
-        ],
-        ids=["2d", "nan", "inf"],
-    )
-    def test_malformed_seasonal_rejected(self, seasonal, message):
-        theta = random_theta(np.random.default_rng(18), 1, 2)
-        with pytest.raises(ConfigError, match=f"^{message}$"):
-            filter_pass(np.zeros((2, 5)), theta, seasonal=seasonal)
-
-    def test_seasonal_length_checked(self):
-        rng = np.random.default_rng(18)
-        theta = random_theta(rng, 1, 2)
-        with pytest.raises(ConfigError):
-            filter_pass(np.zeros((2, 5)), theta, seasonal=np.zeros(3))
