@@ -12,7 +12,7 @@ from typing import IO, Iterator
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 
 logger = logging.getLogger("tasc")
 
@@ -100,6 +100,17 @@ def read_json(source: str | Path) -> dict | list:
     if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
         return json.loads(source)
     return json.loads(Path(source).read_text())
+
+
+def read_json_object(source: str | Path, keys: tuple[str, ...], what: str) -> dict:
+    """:func:`read_json` for an artifact that must be a JSON object holding ``keys``."""
+    doc = read_json(source)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ConfigError(f"{what} is missing key {missing[0]!r}")
+    return doc
 
 
 def write_json(doc: dict, dest: str | Path | None = None) -> str:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._numeric import read_json, spd_cholesky, spd_solve, write_json
+from ._numeric import read_json_object, spd_cholesky, spd_solve, write_json
 from .errors import ConfigError, NumericalError, SolverError
 from .panel import PanelData
 
@@ -255,7 +255,7 @@ def _weights_doc(weights: DonorWeights) -> dict:
 
 
 def weights_from_json(source: str | Path) -> DonorWeights:
-    doc = read_json(source)
+    doc = read_json_object(source, ("f", "kind"), "weights document")
     return DonorWeights(
         f=np.array(doc["f"], dtype=float),
         kind=doc["kind"],

@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -39,93 +41,109 @@ from .ssm import _params_doc
 _FAIL_CONFIG = 1
 _FAIL_NUMERIC = 2
 
+# What each config document may hold, key -> kind.  A kind is a JSON scalar
+# type (bool, int, float, str), a nested table of this form, or [kind] for a
+# list.  The em, simulation and regime tables are the dataclasses' own fields,
+# so every key left out takes the dataclass's default.
+_EM_KINDS = {k: v for k, v in get_type_hints(EmConfig).items() if k != "seed"}  # seed: top level or --seed
+_RSC_KINDS = {"d": int, "lambda": float, "cv_grid": [float]}
+_CONFIG_KINDS = {
+    "method": str, "seed": int, "level": float, "center": bool, "em": _EM_KINDS, "rsc": _RSC_KINDS,
+    "t0": int, "target_row": int, "no_header": bool,
+}
+_SIM_KINDS = get_type_hints(SimulationConfig)
+_REGIME_KINDS = {**_SIM_KINDS, "name": str}
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
 
 def _meta(argv: list[str], seed: int | None) -> dict:
-    return {
-        "tool": "tasc",
-        "version": __version__,
-        "command": "tasc " + " ".join(argv),
-        "seed": seed,
-    }
+    return {"tool": "tasc", "version": __version__, "command": "tasc " + " ".join(argv), "seed": seed}
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    doc = read_json(path)
+def _typed(value, kind, key: str):
+    """``value`` if its JSON type is ``kind``, else a ConfigError naming ``key``.
+
+    Nothing is parsed or rounded: a boolean is never a number, a float never
+    an integer and a string never either.  An integer passes as a number, and
+    is read as the float of the same value.
+    """
+    if isinstance(kind, dict):
+        return _checked(value, kind, key)
+    if isinstance(kind, list):
+        if isinstance(value, list):
+            return [_typed(item, kind[0], f"{key}[{i}]") for i, item in enumerate(value)]
+    elif isinstance(value, bool) == (kind is bool) and isinstance(value, (int, float) if kind is float else kind):
+        if kind is not float:
+            return value
+        if abs(value) <= sys.float_info.max:  # not inf or nan, nor an integer past the float range
+            return float(value)
+    raise ConfigError(f"{key} must be {'a list' if isinstance(kind, list) else _KIND_NAMES[kind]}, got {value!r}")
+
+
+def _checked(doc, kinds: dict, where: str) -> dict:
+    """``doc`` as a JSON object whose keys are all in ``kinds`` and whose values have those kinds.
+
+    Messages name a key under ``where``: ``em`` names ``em.d``, and ``""`` the
+    top level.
+    """
     if not isinstance(doc, dict):
-        raise ConfigError("config file must contain a JSON object")
-    return doc
+        raise ConfigError(f"{where or 'config'} must be a JSON object, got {doc!r}")
+    checked = {}
+    for key, value in doc.items():
+        name = f"{where}.{key}" if where else key
+        if key not in kinds:
+            raise ConfigError(f"{name} is not a known key; expected one of: {', '.join(kinds)}")
+        checked[key] = _typed(value, kinds[key], name)
+    return checked
+
+
+def _load_config(source: str | None, kinds: dict = _CONFIG_KINDS) -> dict:
+    """The checked config object in ``source`` (a path or the JSON text); {} without one."""
+    return {} if source is None else _checked(read_json(source), kinds, "")
+
+
+def _simulation(doc: dict, where: str) -> SimulationConfig:
+    """The SimulationConfig of a checked document; it must hold every key without a default."""
+    for field in fields(SimulationConfig):
+        if field.default is MISSING and field.name not in doc:
+            raise ConfigError(f"{where} missing key {field.name!r}")
+    return SimulationConfig(**doc)
 
 
 def _pick(args_value, config: dict, key: str, default):
     """Flag value if given, else config-file value, else default."""
-    if args_value is not None:
-        return args_value
-    return config.get(key, default)
-
-
-def _config_int(value, key: str) -> int:
-    """A config integer; strings and floats are rejected rather than parsed or truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _config_bool(value, key: str) -> bool:
-    """A config boolean; only JSON true/false, since bool("false") is true."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
+    return config.get(key, default) if args_value is None else args_value
 
 
 def _build_estimator(args, config: dict) -> Estimator:
-    method = _pick(getattr(args, "method", None), config, "method", None)
+    method = _pick(args.method, config, "method", None)
     if method is None:
         raise ConfigError("no method given (use --method or the config file)")
-    try:
-        seed = int(_pick(args.seed, config, "seed", 0))
-        level = float(_pick(getattr(args, "level", None), config, "level", 0.95))
-        center = getattr(args, "center", False) or _config_bool(config.get("center", False), "center")
+    em_doc = dict(config.get("em", {}))
+    rsc_doc = dict(config.get("rsc", {}))
+    if args.d is not None:
+        em_doc["d"] = rsc_doc["d"] = args.d
+    if args.n1 is not None:
+        em_doc.update(n_iters=args.n1)
+    if args.lambda_ is not None:
+        rsc_doc["lambda"] = args.lambda_
 
-        em_doc = dict(config.get("em", {}))
-        rsc_doc = dict(config.get("rsc", {}))
-        d = getattr(args, "d", None)
-        if d is not None:
-            em_doc["d"] = d
-            rsc_doc["d"] = d
-        if getattr(args, "n1", None) is not None:
-            em_doc["n_iters"] = args.n1
-        if getattr(args, "lambda_", None) is not None:
-            rsc_doc["lambda"] = args.lambda_
-
-        em = None
-        if method == "tasc":
-            if "d" not in em_doc:
-                raise ConfigError("tasc needs a latent dimension (--d or em.d in config)")
-            em = EmConfig(
-                d=int(em_doc["d"]),
-                n_iters=int(em_doc.get("n_iters", 200)),
-                rel_tol=float(em_doc.get("rel_tol", 1e-6)),
-                n_restarts=int(em_doc.get("n_restarts", 5)),
-                seed=seed,
-                diag_noise=_config_bool(em_doc.get("diag_noise", True), "em.diag_noise"),
-            )
-        rsc = None
-        if method == "rsc":
-            if "d" not in rsc_doc:
-                raise ConfigError("rsc needs a kept rank (--d or rsc.d in config)")
-            grid = rsc_doc.get("cv_grid")
-            if grid is None and "lambda" not in rsc_doc:
-                grid = list(DEFAULT_CV_GRID)
-            rsc = RscConfig(
-                d=int(rsc_doc["d"]),
-                lambda_=float(rsc_doc.get("lambda", 0.0)),
-                cv_grid=tuple(float(g) for g in grid) if grid is not None else None,
-            )
-    except (TypeError, ValueError) as exc:  # e.g. int("x"), or a number where a list belongs
-        raise ConfigError(f"malformed config value: {exc}") from None
-    return Estimator(method=method, em=em, rsc=rsc, level=level, center=center)
+    em = rsc = None
+    if method == "tasc":
+        if "d" not in em_doc:
+            raise ConfigError("tasc needs a latent dimension (--d or em.d in config)")
+        em = EmConfig(**em_doc, seed=_pick(args.seed, config, "seed", 0))
+    if method == "rsc":
+        if "d" not in rsc_doc:
+            raise ConfigError("rsc needs a kept rank (--d or rsc.d in config)")
+        grid = rsc_doc.get("cv_grid")
+        if grid is None and "lambda" not in rsc_doc:
+            grid = DEFAULT_CV_GRID
+        rsc = RscConfig(
+            d=rsc_doc["d"], lambda_=rsc_doc.get("lambda", 0.0), cv_grid=None if grid is None else tuple(grid)
+        )
+    level = _pick(args.level, config, "level", 0.95)
+    return Estimator(method=method, em=em, rsc=rsc, level=level, center=args.center or config.get("center", False))
 
 
 def _load_panel(args, config: dict) -> PanelData:
@@ -134,26 +152,29 @@ def _load_panel(args, config: dict) -> PanelData:
     path = Path(args.input)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
-    t0 = _pick(getattr(args, "t0", None), config, "t0", None)
+    t0 = _pick(args.t0, config, "t0", None)
     if t0 is None:
         raise ConfigError("the intervention index is required (--t0 or config t0)")
-    no_header = getattr(args, "no_header", False) or _config_bool(config.get("no_header", False), "no_header")
-    target_row = _config_int(_pick(getattr(args, "target_row", None), config, "target_row", 0), "target_row")
-    return load_csv(path, t0=_config_int(t0, "t0"), has_header=not no_header, target_row=target_row)
+    no_header = args.no_header or config.get("no_header", False)
+    return load_csv(path, t0=t0, has_header=not no_header, target_row=_pick(args.target_row, config, "target_row", 0))
 
 
-def _write_table(rows: list[dict], fieldnames: list[str], out: Path, fmt: str, meta: dict) -> None:
+def _write_table(rows: list[dict], fieldnames: list[str], output: str, fmt: str, meta: dict) -> Path:
+    """Write ``rows`` to ``output`` as CSV or JSON, making its directory; return its path."""
+    out = Path(output)
+    out.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
         write_json({"meta": meta, "rows": rows}, out)
     else:
         write_rows_csv(rows, out, fieldnames=fieldnames, meta=meta)
+    return out
 
 
 def cmd_infer(args, argv: list[str]) -> int:
     config = _load_config(args.config)
     panel = _load_panel(args, config)
     estimator = _build_estimator(args, config)
-    seed = int(_pick(args.seed, config, "seed", 0))
+    seed = _pick(args.seed, config, "seed", 0)
     meta = _meta(argv, seed)
     pred = fit_predict(panel, estimator, seed=seed)
 
@@ -174,11 +195,7 @@ def cmd_infer(args, argv: list[str]) -> int:
             row["observed"] = float(target_post[i])
             row["effect"] = float(target_post[i] - pred.y_hat[i])
         rows.append(row)
-    fieldnames = list(rows[0].keys())
-
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_table(rows, fieldnames, out, args.format, meta)
+    out = _write_table(rows, list(rows[0].keys()), args.output, args.format, meta)
     if pred.theta is not None:
         doc = _params_doc(pred.theta, loglik_trace=pred.loglik_trace)
         doc["meta"] = meta
@@ -190,30 +207,11 @@ def cmd_infer(args, argv: list[str]) -> int:
     return 0
 
 
-def _sim_config_from(doc: dict, seed: int | None) -> SimulationConfig:
-    try:
-        return SimulationConfig(
-            d_true=int(doc["d_true"]),
-            n_units=int(doc["n_units"]),
-            t_total=int(doc["t_total"]),
-            t0=int(doc["t0"]),
-            a_q=float(doc.get("a_q", 0.01)),
-            b_q=float(doc.get("b_q", 0.1)),
-            a_r=float(doc.get("a_r", 0.01)),
-            b_r=float(doc.get("b_r", 0.1)),
-            spectral_radius=float(doc.get("spectral_radius", 0.95)),
-            seed=int(doc.get("seed", 0)) if seed is None else seed,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"simulation config missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed simulation config value: {exc}") from None
-
-
 def cmd_simulate(args, argv: list[str]) -> int:
-    config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else None
-    sim_config = _sim_config_from(config, seed)
+    doc = _load_config(args.config, _SIM_KINDS)
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    sim_config = _simulation(doc, "simulation config")
     meta = _meta(argv, sim_config.seed)
     sim = simulate(sim_config)
     out = Path(args.output)
@@ -227,7 +225,7 @@ def cmd_placebo(args, argv: list[str]) -> int:
     config = _load_config(args.config)
     panel = _load_panel(args, config)
     estimator = _build_estimator(args, config)
-    seed = int(_pick(args.seed, config, "seed", 0))
+    seed = _pick(args.seed, config, "seed", 0)
     meta = _meta(argv, seed)
     try:
         ratios = [float(r) for r in args.ratio.split(",")] if args.ratio else [10.0, 5.0, 2.0]
@@ -239,45 +237,34 @@ def cmd_placebo(args, argv: list[str]) -> int:
     target_pre_rmse = rmse(target_pred.fitted_pre, panel.values[0, : panel.t0])
     target_pre_mse = target_pre_rmse**2
 
-    rows = []
-    for entry in result.entries:
-        rows.append(
-            {
-                "unit": entry.unit_label,
-                "rmse_pre": entry.rmse_pre,
-                "rmse_post": entry.rmse_post,
-                "mse_ratio_to_target": (entry.rmse_pre**2) / target_pre_mse
-                if target_pre_mse > 0 and entry.error is None
-                else float("nan"),
-                "error": entry.error or "",
-            }
-        )
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_table(rows, ["unit", "rmse_pre", "rmse_post", "mse_ratio_to_target", "error"], out, args.format, meta)
+    rows = [
+        {
+            "unit": entry.unit_label,
+            "rmse_pre": entry.rmse_pre,
+            "rmse_post": entry.rmse_post,
+            "mse_ratio_to_target": (entry.rmse_pre**2) / target_pre_mse
+            if target_pre_mse > 0 and entry.error is None
+            else float("nan"),
+            "error": entry.error or "",
+        }
+        for entry in result.entries
+    ]
+    out = _write_table(
+        rows, ["unit", "rmse_pre", "rmse_post", "mse_ratio_to_target", "error"], args.output, args.format, meta
+    )
 
-    gap_rows = []
-    target_gap = None
-    if not panel.target_post_missing:
-        predicted = np.concatenate([target_pred.fitted_pre, target_pred.y_hat])
-        target_gap = panel.values[0] - predicted
-        for t in range(panel.n_periods):
-            gap_rows.append(
-                {"unit": panel.unit_labels[0], "t": t, "time_label": panel.time_labels[t], "gap": float(target_gap[t])}
-            )
-    for entry in result.entries:
-        if entry.gap is None:
-            continue
-        for t in range(panel.n_periods):
-            gap_rows.append(
-                {"unit": entry.unit_label, "t": t, "time_label": panel.time_labels[t], "gap": float(entry.gap[t])}
-            )
-    gaps_path = Path(str(out) + ".gaps.csv")
-    write_rows_csv(gap_rows, gaps_path, fieldnames=["unit", "t", "time_label", "gap"], meta=meta)
+    gaps = [] if panel.target_post_missing else [
+        (panel.unit_labels[0], panel.values[0] - np.concatenate([target_pred.fitted_pre, target_pred.y_hat]))
+    ]
+    gaps += [(entry.unit_label, entry.gap) for entry in result.entries if entry.gap is not None]
+    gap_rows = [
+        {"unit": unit, "t": t, "time_label": label, "gap": float(gap[t])}
+        for unit, gap in gaps
+        for t, label in enumerate(panel.time_labels)
+    ]
+    write_rows_csv(gap_rows, str(out) + ".gaps.csv", fieldnames=["unit", "t", "time_label", "gap"], meta=meta)
 
-    retained = {
-        repr(ratio): threshold_filter(result, target_pre_mse, ratio) for ratio in ratios
-    }
+    retained = {repr(ratio): threshold_filter(result, target_pre_mse, ratio) for ratio in ratios}
     retained_doc = {"meta": meta, "target_pre_mse": target_pre_mse, "retained": retained}
     write_json(retained_doc, str(out) + ".retained.json")
     return 0
@@ -286,11 +273,10 @@ def cmd_placebo(args, argv: list[str]) -> int:
 def cmd_permute(args, argv: list[str]) -> int:
     config = _load_config(args.config)
     estimator = _build_estimator(args, config)
-    seed = int(_pick(args.seed, config, "seed", 0))
+    seed = _pick(args.seed, config, "seed", 0)
     meta = _meta(argv, seed)
     if args.simconfig:
-        sim_doc = read_json(args.simconfig)
-        data = _sim_config_from(sim_doc, None)
+        data = _simulation(_load_config(args.simconfig, _SIM_KINDS), "simulation config")
     else:
         data = _load_panel(args, config)
     result = permutation_stress_test(data, estimator, n_shuffles=args.shuffles, seed=seed)
@@ -299,9 +285,7 @@ def cmd_permute(args, argv: list[str]) -> int:
     for i, (value, err) in enumerate(zip(result.rmse_shuffled, result.errors)):
         rows.append({"kind": "shuffled", "index": i, "rmse": value, "error": err or ""})
     rows.append({"kind": "mean_ratio", "index": -1, "rmse": result.mean_ratio, "error": ""})
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_table(rows, ["kind", "index", "rmse", "error"], out, args.format, meta)
+    _write_table(rows, ["kind", "index", "rmse", "error"], args.output, args.format, meta)
     return 0
 
 
@@ -313,10 +297,9 @@ def cmd_bench(args, argv: list[str]) -> int:
     names = []
     regimes = []
     for i, entry in enumerate(regimes_doc):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"regime {i} must be a JSON object, got {entry!r}")
-        names.append(str(entry.get("name", f"regime{i}")))
-        regimes.append(_sim_config_from(entry, None))
+        entry = _checked(entry, _REGIME_KINDS, f"regimes[{i}]")
+        names.append(entry.pop("name", f"regime{i}"))
+        regimes.append(_simulation(entry, f"regimes[{i}]"))
 
     config = _load_config(args.config)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -324,23 +307,16 @@ def cmd_bench(args, argv: list[str]) -> int:
     for m in methods:
         sub = argparse.Namespace(**{**vars(args), "method": m})
         estimators.append(_build_estimator(sub, config))  # checks the config values first
-    seed = int(_pick(args.seed, config, "seed", 0))
+    seed = _pick(args.seed, config, "seed", 0)
     meta = _meta(argv, seed)
 
     reports = method_sweep(
-        regimes,
-        estimators,
-        replicates=args.replicates,
-        seed=seed,
-        n_buckets=args.buckets,
-        regime_names=names,
+        regimes, estimators, replicates=args.replicates, seed=seed, n_buckets=args.buckets, regime_names=names
     )
     rows = reports_to_rows(reports)
     if args.metrics == "post":
         rows = [r for r in rows if r["metric"] in ("rmse_post", "error")]
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_table(rows, ["regime", "method", "replicate", "seed", "metric", "value"], out, args.format, meta)
+    _write_table(rows, ["regime", "method", "replicate", "seed", "metric", "value"], args.output, args.format, meta)
     return 0
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from ._numeric import ensure_spd, min_eig, spd_cholesky, spd_solve, symmetrize
 from .errors import ConfigError, FitError, NumericalError, TascError
@@ -330,7 +330,7 @@ def tasc_infer(
     y_hat = proj[t0:]
     var_signal = np.maximum(np.einsum("i,kij,j->k", h1, smoothed.P_s[t0 + 1 :], h1), 0.0)
     var_pred = var_signal + r1
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = -NormalDist().inv_cdf((1.0 - level) / 2.0)  # not 0.5 + level/2, which rounds to 1 as level nears 1
     width = z * np.sqrt(var_pred)
     estimate = CounterfactualEstimate(
         y_hat=y_hat,

@@ -50,7 +50,7 @@ from ._numeric import (
     check_factor_diag,
     min_eig,
     psd_sqrt,
-    read_json,
+    read_json_object,
     spd_cholesky,
     spd_solve,
     symmetrize,
@@ -492,7 +492,7 @@ def params_from_json(source: str | Path) -> StateSpaceParams:
     Older files hold a diagonal-noise R (``diag_noise`` true, the default) as
     an N x N matrix; it must be exactly diagonal, and loads as its diagonal.
     """
-    doc = read_json(source)
+    doc = read_json_object(source, ("A", "H", "Q", "R", "m0", "P0"), "theta document")
     R = np.array(doc["R"], dtype=float)
     if R.ndim == 2 and doc.get("diag_noise", True):
         if not np.array_equal(R, np.diag(np.diag(R))):

@@ -291,6 +291,19 @@ class TestWeightsSerialization:
         assert back.lambda_ == 100.0
         assert back.d == 5
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"f": [1.0]}', "weights document is missing key 'kind'"),
+            ('{"kind": "simplex"}', "weights document is missing key 'f'"),
+            ("[1.0]", "weights document must be a JSON object, got list"),
+        ],
+        ids=["no_kind", "no_f", "list"],
+    )
+    def test_malformed_document_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            weights_from_json(text)
+
     def test_simplex_invariants_enforced(self):
         with pytest.raises(ConfigError):
             DonorWeights(f=np.array([0.7, 0.7]), kind="simplex")

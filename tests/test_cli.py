@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tasc import PanelData, fit_predict, params_from_json, save_csv, weights_from_json, weights_to_json
+from tasc import EmConfig, PanelData, fit_predict, params_from_json, save_csv, weights_from_json, weights_to_json
 from tasc import cli
 from tasc.cli import main
 
@@ -303,8 +303,10 @@ class TestParsing:
             ("bench", ["--regimes", "[1, 2]"]),
             ("bench", ["--regimes", '[{"d_true": "two", "n_units": 4, "t_total": 12, "t0": 8}]']),
             ("simulate", ["--config", '{"d_true": 1, "n_units": 4, "t_total": 12, "t0": 8, "a_q": "big"}']),
+            ("simulate", ["--config", '{"n_units": 4, "t_total": 12, "t0": 8}']),
         ],
-        ids=["em_d_not_int", "cv_grid_not_list", "regime_not_object", "d_true_not_int", "a_q_not_float"],
+        ids=["em_d_not_int", "cv_grid_not_list", "regime_not_object", "d_true_not_int", "a_q_not_float",
+             "d_true_missing"],
     )
     def test_malformed_config_value_exits_1(self, toy_panel_csv, tmp_path, capsys, command, extra):
         path, t0 = toy_panel_csv
@@ -326,13 +328,53 @@ class TestParsing:
              "em.diag_noise"),
             ("placebo", ["--method", "sc", "--t0", "16", "--ratio", "a,b"], "--ratio"),
             ("placebo", ["--method", "sc", "--t0", "16", "--ratio", "1,,2"], "--ratio"),
+            ("infer", ["--method", "tasc", "--t0", "16", "--config", '{"em": {"d": 2.9}}'], "em.d"),
+            ("infer", ["--method", "tasc", "--t0", "16", "--config", '{"em": {"d": "2"}}'], "em.d"),
+            ("infer", ["--method", "sc", "--t0", "16", "--config", '{"seed": 2.7}'], "seed"),
+            ("infer", ["--method", "sc", "--t0", "16", "--config", '{"seed": true}'], "seed"),
+            ("infer", ["--method", "tasc", "--d", "1", "--t0", "16", "--config", '{"level": "0.9"}'], "level"),
+            ("infer", ["--method", "sc", "--t0", "16", "--config", '{"level": NaN}'], "level"),
+            ("infer", ["--method", "tasc", "--t0", "16", "--config", '{"em": {"d": 1, "rel_tol": true}}'],
+             "em.rel_tol"),
+            ("infer", ["--method", "rsc", "--t0", "16", "--config", '{"rsc": {"d": 2.5}}'], "rsc.d"),
+            ("infer", ["--method", "rsc", "--t0", "16", "--config", '{"rsc": {"d": 1, "cv_grid": ["1"]}}'],
+             "rsc.cv_grid[0]"),
+            ("bench", ["--methods", "sc", "--regimes", '[{"d_true": 1, "n_units": 4.5, "t_total": 12, "t0": 8}]'],
+             "regimes[0].n_units"),
         ],
         ids=["t0_str", "t0_float", "target_row_str", "center_str", "no_header_str", "diag_noise_str",
-             "ratio_word", "ratio_empty"],
+             "ratio_word", "ratio_empty", "em_d_float", "em_d_str", "seed_float", "seed_bool", "level_str", "level_nan",
+             "rel_tol_bool", "rsc_d_float", "cv_grid_str", "regime_n_units_float"],
     )
     def test_config_value_of_wrong_type_exits_1(self, toy_panel_csv, tmp_path, capsys, command, extra, named):
         path, _ = toy_panel_csv
-        assert main([command, "--input", str(path), "--output", str(tmp_path / "o.csv"), *extra]) == 1
+        inputs = [] if command == "bench" else ["--input", str(path)]
+        assert main([command, *inputs, "--output", str(tmp_path / "o.csv"), *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"tasc: error: {named} must be ")
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, extra, named",
+        [
+            ("infer", ["--method", "tasc", "--t0", "16", "--config", '{"em": {"d": 1, "n_iter": 50}}'], "em.n_iter"),
+            ("infer", ["--method", "tasc", "--t0", "16", "--config", '{"em": {"d": 1, "seed": 3}}'], "em.seed"),
+            ("infer", ["--t0", "16", "--config", '{"metod": "sc"}'], "metod"),
+            ("simulate", ["--config", '{"d_true": 1, "n_units": 4, "t_total": 12, "t0": 8, "sed": 3}'], "sed"),
+            ("bench", ["--methods", "sc", "--regimes", '[{"d_true": 1, "n_units": 4, "t_total": 12, "t0": 8, "T": 9}]'],
+             "regimes[0].T"),
+        ],
+        ids=["em_n_iter", "em_seed", "top_metod", "simulate_sed", "regime_T"],
+    )
+    def test_unknown_config_key_exits_1(self, toy_panel_csv, tmp_path, capsys, command, extra, named):
+        path, _ = toy_panel_csv
+        inputs = ["--input", str(path)] if command == "infer" else []
+        assert main([command, *inputs, "--output", str(tmp_path / "o.csv"), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"tasc: error: {named} is not a known key; expected one of: ")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_em_section_takes_every_default_from_emconfig(self):
+        args = cli.build_parser().parse_args(["infer", "--method", "tasc", "--output", "o.csv"])
+        estimator = cli._build_estimator(args, cli._load_config('{"em": {"d": 2}}'))
+        assert estimator.em == EmConfig(d=2, seed=0)

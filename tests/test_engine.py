@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,8 @@ from tasc import (
 from tasc.engine import EmResult, SufficientStats
 
 from oracles import q_gradient_fd, random_theta
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def rank_d_panel(rng, n, t, d, scale=1.0):
@@ -381,6 +387,20 @@ class TestTascInfer:
         est = tasc_infer(panel, config, level=0.95).estimate
         z = (est.ci_upper - est.y_hat) / np.sqrt(est.var_pred)
         assert np.allclose(z, 1.959963984540054, atol=1e-9)
+
+    def test_level_next_to_one_gives_finite_bounds(self):
+        # 0.5 + level / 2 rounds to 1.0 here, where the quantile is infinite.
+        level = 0.9999999999999999
+        assert 0.5 + level / 2.0 == 1.0
+        panel = self_similar_panel()
+        est = tasc_infer(panel, EmConfig(d=1, n_iters=10, n_restarts=1, seed=4), level=level).estimate
+        assert np.all(np.isfinite(est.ci_lower)) and np.all(np.isfinite(est.ci_upper))
+        assert np.all(est.ci_upper - est.y_hat > 8.0 * np.sqrt(est.var_pred))
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, tasc; sys.exit('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=_SRC), timeout=60)
+        assert proc.returncode == 0
 
 
 class TestTascInferGivenFit:

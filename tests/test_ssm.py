@@ -112,6 +112,20 @@ class TestParams:
         with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
             params_from_json(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"A": [[1.0]]}', "theta document is missing key 'H'"),
+            ('{"A": [[0.5]], "H": [[1.0]], "Q": [[1.0]], "m0": [0.0], "P0": [[1.0]]}',
+             "theta document is missing key 'R'"),
+            ("[1, 2]", "theta document must be a JSON object, got list"),
+        ],
+        ids=["no_H", "no_R", "list"],
+    )
+    def test_malformed_json_document_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            params_from_json(text)
+
     def test_write_json_layout(self):
         theta = random_theta(np.random.default_rng(3), 2, 3)
         doc = _params_doc(theta, loglik_trace=[-1.5])
