@@ -27,7 +27,8 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 # The factorizations below call LAPACK potrf/potrs directly: at the d x d
 # sizes of the filter loop the checking wrappers in scipy.linalg cost several
-# times the factorization itself.
+# times the factorization itself.  ``lower`` is passed by position: f2py's
+# keyword parsing costs more than a 3 x 3 solve.
 
 
 def check_factor_diag(diag: np.ndarray, what: str, step: int | None = None) -> None:
@@ -42,13 +43,20 @@ def check_factor_diag(diag: np.ndarray, what: str, step: int | None = None) -> N
         )
 
 
+def factor_diag_ok(diags: np.ndarray) -> np.ndarray:
+    """:func:`check_factor_diag` on each row of ``diags`` at once: True where the row passes."""
+    lo, hi = diags.min(axis=1), diags.max(axis=1)
+    with np.errstate(all="ignore"):
+        return np.isfinite(lo) & np.isfinite(hi) & ((hi / lo) ** 2 <= COND_LIMIT)
+
+
 def spd_cholesky(m: np.ndarray, what: str, step: int | None = None) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
     Raises NumericalError when factorization fails or the factor's diagonal
     ratio shows the matrix is ill-conditioned beyond COND_LIMIT.
     """
-    low, info = dpotrf(m, lower=1)
+    low, info = dpotrf(m, 1)
     if info != 0:
         raise NumericalError(f"{what} is not positive definite", step=step)
     check_factor_diag(low.diagonal(), what, step)
@@ -57,13 +65,13 @@ def spd_cholesky(m: np.ndarray, what: str, step: int | None = None) -> np.ndarra
 
 def spd_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve M x = b given the lower Cholesky factor of M."""
-    x, _ = dpotrs(low, b, lower=1)
+    x, _ = dpotrs(low, b, 1)
     return x
 
 
 def try_cholesky(m: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factor of ``m``, or None where the factorization fails; no gate."""
-    low, info = dpotrf(m, lower=1)
+    low, info = dpotrf(m, 1)
     return low if info == 0 else None
 
 
@@ -96,10 +104,17 @@ def derive_seed(*parts: int) -> int:
 
 
 def read_json(source: str | Path) -> dict | list:
-    """Parse a JSON artifact given as a path, or as the JSON text itself (a string starting with '{' or '[')."""
-    if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
-        return json.loads(source)
-    return json.loads(Path(source).read_text())
+    """Parse a JSON artifact given as a path, or as the JSON text itself (a string starting with '{' or '[').
+
+    Text that does not parse raises ConfigError, as does any other ValueError
+    of the parser (an integer past Python's digit limit, for one) or of the
+    read (a file that is not UTF-8).
+    """
+    inline = isinstance(source, str) and source.lstrip().startswith(("{", "["))
+    try:
+        return json.loads(source if inline else Path(source).read_text())
+    except ValueError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from None
 
 
 def read_json_object(source: str | Path, keys: tuple[str, ...], what: str) -> dict:

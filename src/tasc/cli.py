@@ -10,7 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -229,8 +229,11 @@ def cmd_placebo(args, argv: list[str]) -> int:
     meta = _meta(argv, seed)
     try:
         ratios = [float(r) for r in args.ratio.split(",")] if args.ratio else [10.0, 5.0, 2.0]
+        valid = all(0.0 < r < math.inf for r in ratios)
     except ValueError:
-        raise ConfigError(f"--ratio must be comma-separated numbers, got {args.ratio!r}") from None
+        valid = False
+    if not valid:  # checked before the suite runs or any file is written
+        raise ConfigError(f"--ratio must be comma-separated finite numbers > 0, got {args.ratio!r}")
 
     result = placebo_suite(panel, estimator, seed=seed)
     target_pred = fit_predict(panel, estimator, seed=seed)
@@ -395,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, argv)
     except SystemExit as exc:  # e.g. --version
         return int(exc.code or 0)
-    except (ParseError, ConfigError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
+    except (ParseError, ConfigError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"tasc: error: {exc}", file=sys.stderr)
         return _FAIL_CONFIG
     except (NumericalError, FitError, SolverError) as exc:

@@ -175,13 +175,12 @@ def accumulate_stats(smoothed: SmoothedTrajectory, Y: np.ndarray) -> SufficientS
         raise ConfigError("smoothed trajectory does not cover indices 0..K")
     ms, Ps, G = smoothed.m_s, smoothed.P_s, smoothed.G
 
-    outer_all = np.einsum("ki,kj->kij", ms, ms)
-    sigma = (Ps[1:] + outer_all[1:]).mean(axis=0)
-    phi = (Ps[:-1] + outer_all[:-1]).mean(axis=0)
+    # Each sum over k of an outer product m_k m_j' is one GEMM over the stacked means.
+    sigma = (Ps[1:].sum(axis=0) + ms[1:].T @ ms[1:]) / k_total
+    phi = (Ps[:-1].sum(axis=0) + ms[:-1].T @ ms[:-1]) / k_total
     b = (Y @ ms[1:]) / k_total
     # Lag-one smoothed cross covariance is P_k^s G_{k-1}^T.
-    cross = np.einsum("kij,klj->kil", Ps[1:], G) + np.einsum("ki,kj->kij", ms[1:], ms[:-1])
-    c = cross.mean(axis=0)
+    c = ((Ps[1:] @ G.transpose(0, 2, 1)).sum(axis=0) + ms[1:].T @ ms[:-1]) / k_total
     return SufficientStats(sigma=symmetrize(sigma), phi=symmetrize(phi), b=b, c=c, Y=Y)
 
 

@@ -32,10 +32,18 @@ needs no tolerance and gives bitwise the results of recomputing.  The mean
 half is a linear recursion in the state, run as one log-depth scan over the
 segment (Sarkka & Garcia-Fernandez, Temporal parallelization of Bayesian
 smoothers, IEEE TAC 2021); it sums in another order than a per-step loop, so
-means agree with such a loop to rounding, not bitwise.  The smoother gates
-the filter's factor of each distinct P_pred once, solves for each distinct
-gain once, runs the smoothed means as a reverse scan, and repeats smoothed
-covariances by phase once their inputs recur.
+means agree with such a loop to rounding, not bitwise.  The smoother gains
+depend on theta alone as well, so the covariance half makes them: one solve
+on the fresh factor of P_pred for each new pair of consecutive entries.
+
+The conditioning gates run once per pass over the stacked factor diagonals
+rather than once per step, and a failure names the same step a per-step
+gate would: M's factors are gated after each segment's covariance loop (the
+first failing step wins, over any error of a later step in the loop), and
+the smoother gates every factor of P_pred before it reads a gain (naming
+the latest step that uses a failing factor, the step a backward loop would
+reach first).  The smoother runs the smoothed means as a reverse scan and
+repeats smoothed covariances by phase once their inputs recur.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from scipy.linalg import solve_triangular
 
 from ._numeric import (
     check_factor_diag,
+    factor_diag_ok,
     min_eig,
     psd_sqrt,
     read_json_object,
@@ -75,7 +84,8 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def _check_spd(name: str, m: np.ndarray) -> None:
-    if not np.allclose(m, m.T, atol=1e-8):
+    # np.allclose(m, m.T, atol=1e-8) for finite m, without its generality
+    if not (np.abs(m - m.T) <= 1e-8 + 1e-5 * np.abs(m.T)).all():
         raise ConfigError(f"{name} must be symmetric")
     if min_eig(m) <= -_PD_TOL:
         raise ConfigError(f"{name} must be positive definite")
@@ -98,7 +108,7 @@ class StateSpaceParams:
 
     def __post_init__(self):
         for name in ("A", "H", "Q", "R", "m0", "P0"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
+            arr = np.array(getattr(self, name), dtype=float)
             if not np.isfinite(arr).all():
                 raise ConfigError(f"{name} must be finite")
             arr.setflags(write=False)
@@ -151,8 +161,11 @@ class FilteredTrajectory:
     quantities depend on theta alone and repeat once the recursion reaches its
     fixed point or a last-ulp cycle, so each distinct one is stored once (the
     ``*_e`` arrays, E entries) and ``cov[k]`` names the entry of row k.
-    ``P_pred`` and ``P`` expand them to K x d x d.  Treat the arrays as
-    read-only.
+    ``P_pred`` and ``P`` expand them to K x d x d.  The smoother gains, which
+    depend on theta alone too, are stored once per distinct pair of
+    consecutive entries (``G_e``) and ``gain[k]`` names the pair of row k:
+    entry ``cov[k]`` after entry ``cov[k - 1]`` (after P0 at k = 0).  Treat
+    the arrays as read-only.
     """
 
     m_pred: np.ndarray  # (K, d)
@@ -164,6 +177,8 @@ class FilteredTrajectory:
     P_e: np.ndarray  # (E, d, d)
     W_e: np.ndarray  # (E, d, d), M^-1 L'
     logdet_M_e: np.ndarray  # (E,)
+    G_e: np.ndarray  # (gains, d, d) smoother gain of each distinct (previous entry, entry) pair
+    gain: np.ndarray  # (K,) gain index of each row
 
     def __len__(self) -> int:
         return self.m.shape[0]
@@ -250,43 +265,74 @@ def _observed_rows(theta: StateSpaceParams, target_missing: bool, step: int) -> 
 
 
 def _covariance_half(
-    P: np.ndarray, theta: StateSpaceParams, obs: _ObservedRows, n_cols: int, k0: int, entries: list
-) -> np.ndarray:
-    """Append the distinct covariance entries of the ``n_cols`` steps after time index ``k0``.
+    P: np.ndarray, theta: StateSpaceParams, obs: _ObservedRows, n_cols: int, k0: int, entries: list, gains: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """Append the distinct covariance entries and gains of the ``n_cols`` steps after time index ``k0``.
 
     Starts from the filtered covariance P.  Information form: with
     P_pred = L L' and M = I + L' J L (d x d), P = L W and W = M^-1 L'.  Each
-    entry is (P_pred, L, whether L is a Cholesky factor, P, W, log det M).
-    The loop stops at the first P_pred equal bitwise to an earlier one of the
-    segment; returns the entry index of each step, filled by phase from there.
+    entry is (P_pred, L, whether L is a Cholesky factor, P, W, the diagonal of
+    M's factor).  The loop stops at the first P_pred equal bitwise to an
+    earlier one of the segment.  Each new pair (previous step's entry, this
+    step's entry) appends its smoother gain G = P_prev A' P_pred^-1 to
+    ``gains``, from P_pred's factor: a new pair arises at every transient
+    step, the segment's first among them, and at the step where the cycle
+    wraps.  Returns the entry index and the gain index of each step, filled by
+    phase from the cycle on.  M's factors are gated once, after the loop: a
+    failure raises NumericalError at the first failing step, and an error
+    inside the loop is raised only if no earlier step fails the gate.
     """
-    A, Q, J = theta.A, theta.Q, obs.J
-    e0 = len(entries)
-    cov = np.arange(e0, e0 + n_cols)
+    # np.dot rather than @: at d x d it skips most of matmul's dispatch cost,
+    # and both call the same BLAS routine.
+    A, Q, J, dot = theta.A, theta.Q, obs.J, np.dot
+    unit = np.eye(theta.d)
+    e0, g0 = len(entries), len(gains)
+    cov, gain = np.arange(e0, e0 + n_cols), np.arange(g0, g0 + n_cols)
     seen: dict[bytes, int] = {}
-    for j in range(n_cols):
-        P_pred = symmetrize(A @ P @ A.T + Q)
-        first = seen.setdefault(P_pred.tobytes(), j)
-        if first != j:
-            cov[j:] = e0 + first + np.arange(n_cols - j) % (j - first)
-            break
-        k = k0 + 1 + j
-        low_pred = try_cholesky(P_pred)  # no gate here: the smoother gates P_pred
-        L = psd_sqrt(P_pred) if low_pred is None else low_pred
-        M = L.T @ J @ L  # potrf reads only the lower triangle: no symmetrize needed
-        M.flat[:: M.shape[0] + 1] += 1.0
-        low = try_cholesky(M)
-        if low is None:
-            raise NumericalError(f"{_INNOVATION} is not positive definite", step=k)
+    try:
+        for j in range(n_cols):
+            AP = dot(A, P)
+            P_pred = symmetrize(dot(AP, A.T) + Q)
+            first = seen.setdefault(P_pred.tobytes(), j)
+            if first != j:
+                phase = np.arange(n_cols - j) % (j - first)
+                cov[j:] = e0 + first + phase
+                gain[j:] = np.where(phase == 0, g0 + j, g0 + first + phase)
+                gains.append(_gain(AP, entries[e0 + first]))
+                break
+            low_pred = try_cholesky(P_pred)  # no gate here: the smoother gates P_pred
+            L = psd_sqrt(P_pred) if low_pred is None else low_pred
+            M = dot(dot(L.T, J), L)  # potrf reads only the lower triangle: no symmetrize needed
+            M += unit
+            low = try_cholesky(M)
+            if low is None:
+                raise NumericalError(f"{_INNOVATION} is not positive definite", step=k0 + 1 + j)
+            W = spd_solve(low, L.T)
+            entries.append((P_pred, L, low_pred is not None, symmetrize(dot(L, W)), W, low.diagonal()))
+            gains.append(_gain(AP, entries[-1]))
+            P = entries[-1][3]
+    finally:
         # Whitened by R, S is I + Hw P_pred Hw': its spectrum is M's up to
         # unit eigenvalues, so M's factor plus a unit diagonal gates S as a
-        # dense factor of S would be gated.
-        check_factor_diag(np.append(low.diagonal(), 1.0), _INNOVATION, step=k)
-        W = spd_solve(low, L.T)
-        P = symmetrize(L @ W)
-        logdet_M = 2.0 * float(np.log(low.diagonal()).sum())
-        entries.append((P_pred, L, low_pred is not None, P, W, logdet_M))
-    return cov
+        # dense factor of S would be gated.  Raised here, a failure replaces
+        # any error of a later step.
+        if len(entries) > e0:
+            diags = np.array([entry[5] for entry in entries[e0:]])
+            diags = np.hstack([diags, np.ones((len(diags), 1))])
+            bad = np.flatnonzero(~factor_diag_ok(diags))
+            if bad.size:
+                check_factor_diag(diags[bad[0]], _INNOVATION, step=k0 + 1 + int(bad[0]))
+    return cov, gain
+
+
+def _gain(AP: np.ndarray, entry: tuple) -> np.ndarray:
+    """The smoother gain P_prev A' P_pred^-1, given A P_prev and the entry of P_pred.
+
+    NaN where the entry holds no Cholesky factor: the smoother's gate rejects
+    such an entry before any gain is read.
+    """
+    _, L, chol = entry[:3]
+    return spd_solve(L, AP).T if chol else np.full(AP.shape, np.nan)
 
 
 def _linear_scan(F: np.ndarray, g: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -302,7 +348,8 @@ def _linear_scan(F: np.ndarray, g: np.ndarray, x0: np.ndarray) -> np.ndarray:
     shift = 1
     while shift < len(x):
         x[shift:] += (Fs @ x[:-shift, :, None])[:, :, 0]
-        Fs = Fs[shift:] @ Fs[:-shift]
+        if 2 * shift < len(x):  # the last round reads no composed F
+            Fs = Fs[shift:] @ Fs[:-shift]
         shift *= 2
     return x
 
@@ -319,7 +366,8 @@ def _forward(
     where the row set changes.  The mean half of a segment is
     m_k = F_k m_{k-1} + g_k with F = (I - L W J) A and g_k = L W z_k, where
     z = Hw' yw is the whitened observation projected on the state, run as one
-    scan; then m_pred = A m and a = W (z - J m_pred).  By Woodbury and the
+    scan; F and L W are formed once per covariance entry.  Then
+    m_pred = A m and a = W (z - J m_pred).  By Woodbury and the
     determinant lemma log det S = log det R + log det M, and v' S^-1 v equals
     |vw - Hw L a|^2 + |a|^2 for the whitened innovation vw, a sum of squares.
     At missing-target steps only the donor block contributes to the
@@ -334,25 +382,28 @@ def _forward(
     cut = k_total if missing_target_from is None else min(max(0, missing_target_from), k_total)
 
     entries: list[tuple] = []
+    gains: list[np.ndarray] = []
     segments = []
     P = theta.P0
     for start, stop, missing in ((0, cut, False), (cut, k_total, True)):
         if start < stop:
             obs = _observed_rows(theta, missing, step=start + 1)
-            cov = _covariance_half(P, theta, obs, stop - start, start, entries)
-            segments.append((slice(start, stop), obs, cov))
+            e_lo = len(entries)
+            cov, gain = _covariance_half(P, theta, obs, stop - start, start, entries, gains)
+            segments.append((slice(start, stop), obs, cov, gain, slice(e_lo, len(entries))))
             P = entries[cov[-1]][3]
-    P_pred_e, L_e, chol_e, P_e, W_e, logdet_M_e = (np.array(x) for x in zip(*entries))
+    P_pred_e, L_e, chol_e, P_e, W_e, M_diag_e = (np.array(x) for x in zip(*entries))
 
-    A, LW = theta.A, L_e @ W_e
+    A, LW_e = theta.A, L_e @ W_e
     m_pred, m = np.empty((k_total, theta.d)), np.empty((k_total, theta.d))
     m_last, loglik = theta.m0, 0.0
-    for cols, obs, cov in segments:
+    logdet_M_e = 2.0 * np.log(M_diag_e).sum(axis=1)
+    for cols, obs, cov, _, own in segments:
         Hw, J = obs.Hw, obs.J
         Yw = obs.whiten(Y[obs.rows, cols])
         Z = Yw.T @ Hw  # row j is z for column j
-        F = (np.eye(theta.d) - LW[cov] @ J) @ A
-        m[cols] = _linear_scan(F, np.einsum("kij,kj->ki", LW[cov], Z), m_last)
+        F = ((np.eye(theta.d) - LW_e[own] @ J) @ A)[cov - own.start]
+        m[cols] = _linear_scan(F, np.einsum("kij,kj->ki", LW_e[cov], Z), m_last)
         m_pred[cols] = np.vstack([m_last, m[cols][:-1]]) @ A.T
         a = np.einsum("kij,kj->ki", W_e[cov], Z - m_pred[cols] @ J)
         delta = np.einsum("kij,kj->ki", L_e[cov], a)
@@ -363,10 +414,10 @@ def _forward(
             + float(np.vdot(resid, resid) + np.vdot(a, a))
         )
         m_last = m[cols.stop - 1]
-    cov = np.concatenate([cov for _, _, cov in segments])
     filtered = FilteredTrajectory(
-        m_pred=m_pred, m=m, cov=cov, P_pred_e=P_pred_e, L_e=L_e, chol_e=chol_e,
-        P_e=P_e, W_e=W_e, logdet_M_e=logdet_M_e,
+        m_pred=m_pred, m=m, cov=np.concatenate([seg[2] for seg in segments]), P_pred_e=P_pred_e, L_e=L_e,
+        chol_e=chol_e, P_e=P_e, W_e=W_e, logdet_M_e=logdet_M_e,
+        G_e=np.array(gains), gain=np.concatenate([seg[3] for seg in segments]),
     )
     return filtered, loglik
 
@@ -392,52 +443,50 @@ def smooth_pass(filtered: FilteredTrajectory, theta: StateSpaceParams) -> Smooth
     """Backward RTS recursion over a filtered trajectory, including index 0.
 
     Step k (0..K-1) pairs the filtered P_k (P0 at k = 0) with P_pred_{k+1}.
-    The gain G_k = P_k A' P_pred_{k+1}^-1 is computed once per distinct pair
-    of covariance entries, from the factor of P_pred the filter already
-    computed; each factor is gated once, at the latest step that uses it, so
-    a failure names the step the backward loop would reach first.  The
-    smoothed means follow m_s_k = G_k m_s_{k+1} + (m_k - G_k m_pred_{k+1}),
-    run as one reverse scan.  P_s is a backward loop until a step's inputs
-    (its pair and P_s_{k+1}) equal a later step's bitwise; from there P_s
-    repeats with the period between the two for as long as the pairs do, and
-    that stretch is filled at once.  Returns a :class:`SmoothedTrajectory`.
+    The gains G_k = P_k A' P_pred_{k+1}^-1 come from the filter's covariance
+    pass, one per distinct pair of covariance entries.  The factors of P_pred
+    are gated once, together, before any gain is read; a failure names the
+    latest step that uses the failing factor, the step the backward loop
+    would reach first.  The smoothed means follow
+    m_s_k = G_k m_s_{k+1} + (m_k - G_k m_pred_{k+1}), run as one reverse scan.
+    P_s is a backward loop until a step's inputs (its pair and P_s_{k+1})
+    equal a later step's bitwise; from there P_s repeats with the period
+    between the two for as long as the pairs do, and that stretch is filled
+    at once.  Returns a :class:`SmoothedTrajectory`.
     """
     k_total = len(filtered)
     if k_total == 0:
         raise ConfigError("smooth_pass needs a nonempty filtered trajectory")
-    A, cov = theta.A, filtered.cov
-    P_k = np.concatenate([theta.P0[None], filtered.P_e])  # row e + 1 is entry e
-    prev = np.concatenate([[0], cov[:-1] + 1])  # row of P_k at step k
-
-    distinct, rev_first = np.unique(cov[::-1], return_index=True)
-    last = k_total - 1 - rev_first
-    for i in np.argsort(-last):
-        e, k = distinct[i], int(last[i])
-        if not filtered.chol_e[e]:  # the filter's Cholesky of this P_pred failed
+    cov, gain = filtered.cov, filtered.gain
+    chol = filtered.chol_e
+    diags = filtered.L_e.diagonal(axis1=1, axis2=2)
+    bad = np.flatnonzero(~(chol & factor_diag_ok(diags))[cov])
+    if bad.size:
+        k = int(bad[-1])
+        if not chol[cov[k]]:  # the filter's Cholesky of this P_pred failed
             raise NumericalError(f"{_PREDICTION} is not positive definite", step=k)
-        check_factor_diag(filtered.L_e[e].diagonal(), _PREDICTION, step=k)
-    pair = prev * len(filtered.L_e) + cov
-    _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
-    G = np.array([spd_solve(filtered.L_e[cov[k]], A @ P_k[prev[k]]).T for k in first])[inverse]
+        check_factor_diag(diags[cov[k]], _PREDICTION, step=k)
+    G = filtered.G_e[gain]
 
     m_s = np.empty((k_total + 1, theta.d))
     m_s[k_total] = filtered.m[-1]
     b = np.vstack([theta.m0, filtered.m[:-1]]) - (G @ filtered.m_pred[:, :, None])[:, :, 0]
     m_s[:k_total] = _linear_scan(G[::-1], b[::-1], filtered.m[-1])[::-1]
 
+    P_prev = np.concatenate([theta.P0[None], filtered.P_e[cov[:-1]]])
+    P_pred, G_t = filtered.P_pred_e[cov], G.transpose(0, 2, 1)
     P_s = np.empty((k_total + 1, theta.d, theta.d))
     P_s[k_total] = filtered.P_e[cov[-1]]
     seen: dict[tuple, int] = {}
     k = k_total - 1
     while k >= 0:
-        later = seen.setdefault((pair[k], P_s[k + 1].tobytes()), k)
+        later = seen.setdefault((gain[k], P_s[k + 1].tobytes()), k)
         if later == k:
-            gap = P_s[k + 1] - filtered.P_pred_e[cov[k]]
-            P_s[k] = symmetrize(P_k[prev[k]] + G[k] @ gap @ G[k].T)
+            P_s[k] = symmetrize(P_prev[k] + np.dot(np.dot(G[k], P_s[k + 1] - P_pred[k]), G_t[k]))
             k -= 1
             continue
         period = later - k
-        breaks = np.flatnonzero(pair[: k + 1] != pair[period : k + 1 + period])
+        breaks = np.flatnonzero(gain[: k + 1] != gain[period : k + 1 + period])
         start = breaks[-1] + 1 if breaks.size else 0
         P_s[start : k + 1] = P_s[k + 1 + (np.arange(start - k - 1, 0)) % period]
         k = start - 1

@@ -5,8 +5,9 @@ obtained by building the joint Gaussian over all states and observations and
 conditioning directly, and the simplex regression oracle is a dense grid
 search.  They are slow and only suitable for tiny instances, except the
 simplex KKT check, which certifies a solution for any number of donors.  The
-plain per-step mean recursions are the exception: they are the loop the
-filter's and smoother's scans replace, kept as their reference.
+plain per-step recursions are the exception: they are the loops that the
+filter's and smoother's scans, the smoother's covariance pass and the
+moment GEMMs replace, kept as their reference.
 """
 
 from __future__ import annotations
@@ -197,6 +198,46 @@ def smoother_mean_loop(theta, m_filt, G, dtype=np.float64):
     for k in range(len(means) - 2, -1, -1):
         m_s[k] = means[k] + G[k].astype(dtype) @ (m_s[k + 1] - A @ means[k])
     return m_s
+
+
+def rts_covariance_loop(theta, filtered):
+    """Smoother gains and covariances by the plain per-step RTS recursion.
+
+    The reference for the smoother's covariance pass.  It takes the filtered
+    and predicted covariances from ``filtered`` and runs, for k = K-1..0,
+
+        G_k = P_k A' P_pred_{k+1}^-1,   P_s_k = P_k + G_k (P_s_{k+1} - P_pred_{k+1}) G_k'
+
+    with one dense solve per step, from P_s_K = P_K and with P_0 = theta's P0.
+    Returns (G, P_s): the K gains and P_s for indices 0..K.
+    """
+    P, P_pred = filtered.P, filtered.P_pred
+    k_total = len(filtered)
+    G = np.empty((k_total, theta.d, theta.d))
+    P_s = np.empty((k_total + 1, theta.d, theta.d))
+    P_s[k_total] = P[-1]
+    for k in range(k_total - 1, -1, -1):
+        P_k = theta.P0 if k == 0 else P[k - 1]
+        G[k] = np.linalg.solve(P_pred[k], theta.A @ P_k).T
+        P_s[k] = P_k + G[k] @ (P_s[k + 1] - P_pred[k]) @ G[k].T
+    return G, P_s
+
+
+def moment_sums(smoothed, Y):
+    """The averaged moments of ``accumulate_stats`` as plain sums over k = 1..K.
+
+    Returns (sigma, phi, b, c): sigma and phi sum P_s + m_s m_s' at indices
+    1..K and 0..K-1, b sums y_k m_s_k', and c sums the lag-one moment
+    P_s_k G_{k-1}' + m_s_k m_s_{k-1}', each divided by K.
+    """
+    m_s, P_s, G = smoothed.m_s, smoothed.P_s, smoothed.G
+    k_total = Y.shape[1]
+    steps = range(1, k_total + 1)
+    sigma = sum(P_s[k] + np.outer(m_s[k], m_s[k]) for k in steps) / k_total
+    phi = sum(P_s[k - 1] + np.outer(m_s[k - 1], m_s[k - 1]) for k in steps) / k_total
+    b = sum(np.outer(Y[:, k - 1], m_s[k]) for k in steps) / k_total
+    c = sum(P_s[k] @ G[k - 1].T + np.outer(m_s[k], m_s[k - 1]) for k in steps) / k_total
+    return sigma, phi, b, c
 
 
 def simplex_grid_search(y, donors, step=1e-3):

@@ -197,6 +197,21 @@ class TestPlacebo:
         gaps = Path(str(out) + ".gaps.csv")
         assert gaps.exists()
 
+    @pytest.mark.parametrize("ratio", ["0", "nan", "1,-2", "inf"])
+    def test_ratio_not_finite_and_positive_exits_1_before_any_fit(
+        self, toy_panel_csv, tmp_path, capsys, monkeypatch, ratio
+    ):
+        path, t0 = toy_panel_csv
+        out = tmp_path / "p.csv"
+        monkeypatch.setattr(cli, "placebo_suite", lambda *a, **k: pytest.fail("the suite ran"))
+        code = main([
+            "placebo", "--input", str(path), "--t0", str(t0), "--method", "sc",
+            "--output", str(out), "--ratio", ratio,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("tasc: error: --ratio must be ")
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestPermute:
     def test_identity_only_shuffles_report_unit_ratio(self, tmp_path):
@@ -295,6 +310,17 @@ class TestParsing:
         ])
         assert code == 1
 
+    def test_config_file_not_utf8_exits_1(self, toy_panel_csv, tmp_path, capsys):
+        path, t0 = toy_panel_csv
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"seed": "\xff"}')
+        code = main([
+            "infer", "--input", str(path), "--t0", str(t0), "--method", "sc",
+            "--config", str(bad), "--output", str(tmp_path / "o.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("tasc: error: invalid JSON: ")
+
     @pytest.mark.parametrize(
         "command, extra",
         [
@@ -304,9 +330,11 @@ class TestParsing:
             ("bench", ["--regimes", '[{"d_true": "two", "n_units": 4, "t_total": 12, "t0": 8}]']),
             ("simulate", ["--config", '{"d_true": 1, "n_units": 4, "t_total": 12, "t0": 8, "a_q": "big"}']),
             ("simulate", ["--config", '{"n_units": 4, "t_total": 12, "t0": 8}']),
+            # json.loads raises ValueError past Python's 4300-digit limit for int().
+            ("infer", ["--config", '{"seed": ' + "1" * 4400 + "}", "--method", "sc"]),
         ],
         ids=["em_d_not_int", "cv_grid_not_list", "regime_not_object", "d_true_not_int", "a_q_not_float",
-             "d_true_missing"],
+             "d_true_missing", "int_past_digit_limit"],
     )
     def test_malformed_config_value_exits_1(self, toy_panel_csv, tmp_path, capsys, command, extra):
         path, t0 = toy_panel_csv

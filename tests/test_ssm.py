@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tasc import (
     ConfigError,
+    accumulate_stats,
     NumericalError,
     SimulationConfig,
     StateSpaceParams,
@@ -19,14 +20,17 @@ from tasc import (
     smooth_pass,
 )
 
+from tasc import ssm
 from tasc._numeric import write_json
 from tasc.ssm import _params_doc
 
 from oracles import (
     conditioned_moments,
     filter_mean_loop,
+    moment_sums,
     observed_log_density,
     random_theta,
+    rts_covariance_loop,
     smoother_mean_loop,
 )
 
@@ -224,6 +228,32 @@ class TestKalmanStep:
         with pytest.raises(NumericalError) as err:
             filter_pass(np.zeros((2, 1)), theta)
         assert err.value.step == 1
+
+    def test_condition_gate_names_the_first_step_past_the_limit(self):
+        # P0 = 0 and Q = 1e-10 keep M = 1 + P_pred / R near 1 for two steps;
+        # then A^2 = 1e13 carries M past COND_LIMIT from step 3 on.
+        theta = scalar_theta(A=np.sqrt(1e13), Q=1e-10, P0=0.0)
+        filter_pass(np.zeros((1, 2)), theta)
+        with pytest.raises(NumericalError, match=r"^innovation covariance S condition number exceeds 1e\+12$") as err:
+            filter_pass(np.zeros((1, 6)), theta)
+        assert err.value.step == 3
+
+    def test_condition_failure_wins_over_a_later_cholesky_failure(self, monkeypatch):
+        # M's factor fails the condition gate at step 2; M itself rounds to a
+        # matrix with no Cholesky factor at step 4.  The gate runs after the
+        # loop, but the earlier failure is the one raised.
+        theta = StateSpaceParams(
+            A=[[0.5, -1.0], [1.0, 1e8]], H=[[0.0, -1.0]], Q=np.diag([1e-8, 1e17]),
+            R=[1.0], m0=np.zeros(2), P0=1e-8 * np.eye(2),
+        )
+        Y = np.zeros((1, 6))
+        with pytest.raises(NumericalError, match=r"^innovation covariance S condition number exceeds 1e\+12$") as err:
+            filter_pass(Y, theta)
+        assert err.value.step == 2
+        monkeypatch.setattr(ssm, "factor_diag_ok", lambda diags: np.ones(len(diags), dtype=bool))
+        with pytest.raises(NumericalError, match="^innovation covariance S is not positive definite$") as err:
+            filter_pass(Y, theta)
+        assert err.value.step == 4
 
 
 class TestMissingTargetStep:
@@ -497,6 +527,35 @@ class TestOracleEquivalence:
             for k in range(1, len(states) + 1):
                 gap = states.P[k - 1] - smoothed.P_s[k]
                 assert np.linalg.eigvalsh(gap).min() >= -1e-9
+
+
+class TestAgainstPerStepLoops:
+    """The smoother's covariance pass and the moment GEMMs against plain per-step loops."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_gains_covariances_and_moments_match_loops(self, data):
+        d = data.draw(st.integers(1, 4), label="d")
+        k_total = data.draw(st.integers(1, 40), label="K")
+        cut = data.draw(st.one_of(st.none(), st.integers(0, k_total)), label="cut")
+        min_n = 2 if cut is not None and cut < k_total else 1
+        n = data.draw(st.integers(min_n, 6), label="N")
+        diag_noise = data.draw(st.booleans(), label="diag_noise")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        theta = random_theta(rng, d, n, diag_noise=diag_noise)
+        Y = rng.standard_normal((n, k_total))
+        filtered = filter_pass(Y, theta, missing_target_from=cut)
+        smoothed = smooth_pass(filtered, theta)
+
+        def rel(got, ref):
+            return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+        G, P_s = rts_covariance_loop(theta, filtered)
+        assert rel(smoothed.G, G) <= 1e-12
+        assert rel(smoothed.P_s, P_s) <= 1e-12
+        stats = accumulate_stats(smoothed, Y)
+        for got, ref in zip((stats.sigma, stats.phi, stats.b, stats.c), moment_sums(smoothed, Y)):
+            assert rel(got, ref) <= 1e-12
 
 
 class TestMeanScan:
