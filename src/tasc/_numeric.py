@@ -16,13 +16,52 @@ from .errors import ConfigError, NumericalError
 
 logger = logging.getLogger("tasc")
 
-# A Cholesky factor whose squared diagonal ratio exceeds this is treated as
-# numerically singular (the ratio lower-bounds the condition number).
+# The conditioning limit of :func:`gate_factor_diag`: a factored matrix whose
+# condition number this bounds from below is treated as numerically singular.
 COND_LIMIT = 1e12
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
+
+
+def gate_factor_diag(diags: np.ndarray, what: str, step: int | np.ndarray | None = None) -> None:
+    """The conditioning gate: every Cholesky factor is judged and a failure worded here.
+
+    ``diags`` is one factor's diagonal and ``step`` its time step (or None),
+    or a stack of diagonals, one row per factor, and ``step`` the step of
+    each row.  NumericalError(step=...) is raised for the first failing row,
+    with one of three messages after ``what``:
+
+    - "is not positive definite": the row holds NaN or a pivot <= 0.  A
+      caller passes a NaN row for a factorization that failed.
+    - "produced a non-finite factor": the row holds +inf.
+    - "condition number exceeds 1e+12": the ratio hi / lo of the largest to
+      the smallest pivot exceeds sqrt(COND_LIMIT).  The squared ratio is a
+      lower bound on the condition number of the factored matrix.  Comparing
+      the unsquared ratio gives the same decision for every finite ratio, and
+      cannot overflow where the square would.
+
+    The caller orders the rows.  The filter passes M's factors in step
+    order, so the first failing step is named, over any error of a later
+    step.  The smoother passes P_pred's factors in reverse step order, so the
+    latest step that uses a failing factor is named, the step a backward
+    loop would reach first.
+    """
+    lo, hi = diags.min(axis=-1), diags.max(axis=-1)
+    with np.errstate(all="ignore"):
+        ok = (lo > 0) & (hi / lo <= math.sqrt(COND_LIMIT))  # +inf gives an inf or NaN ratio
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    lo, hi = np.ravel(lo)[i], np.ravel(hi)[i]
+    if not lo > 0:
+        problem = "is not positive definite"
+    elif hi == np.inf:
+        problem = "produced a non-finite factor"
+    else:
+        problem = f"condition number exceeds {COND_LIMIT:.0e}"
+    raise NumericalError(f"{what} {problem}", step=step if diags.ndim == 1 else int(step[i]))
 
 
 # The factorizations below call LAPACK potrf/potrs directly: at the d x d
@@ -31,35 +70,10 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 # keyword parsing costs more than a 3 x 3 solve.
 
 
-def check_factor_diag(diag: np.ndarray, what: str, step: int | None = None) -> None:
-    """Gate on the diagonal of a Cholesky factor: finite, and ratio within COND_LIMIT."""
-    lo, hi = float(diag.min()), float(diag.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise NumericalError(f"{what} produced a non-finite factor", step=step)
-    ratio = (hi / lo) ** 2
-    if ratio > COND_LIMIT:
-        raise NumericalError(
-            f"{what} condition number exceeds {COND_LIMIT:.0e}", step=step
-        )
-
-
-def factor_diag_ok(diags: np.ndarray) -> np.ndarray:
-    """:func:`check_factor_diag` on each row of ``diags`` at once: True where the row passes."""
-    lo, hi = diags.min(axis=1), diags.max(axis=1)
-    with np.errstate(all="ignore"):
-        return np.isfinite(lo) & np.isfinite(hi) & ((hi / lo) ** 2 <= COND_LIMIT)
-
-
 def spd_cholesky(m: np.ndarray, what: str, step: int | None = None) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
-
-    Raises NumericalError when factorization fails or the factor's diagonal
-    ratio shows the matrix is ill-conditioned beyond COND_LIMIT.
-    """
+    """Lower Cholesky factor of a symmetric positive-definite matrix, passed through :func:`gate_factor_diag`."""
     low, info = dpotrf(m, 1)
-    if info != 0:
-        raise NumericalError(f"{what} is not positive definite", step=step)
-    check_factor_diag(low.diagonal(), what, step)
+    gate_factor_diag(low.diagonal() if info == 0 else np.full(1, np.nan), what, step)
     return low
 
 

@@ -294,13 +294,12 @@ def cmd_permute(args, argv: list[str]) -> int:
 
 def cmd_bench(args, argv: list[str]) -> int:
     doc = read_json(args.regimes)
-    regimes_doc = doc["regimes"] if isinstance(doc, dict) and "regimes" in doc else doc
-    if not isinstance(regimes_doc, list) or not regimes_doc:
+    wrapper = _checked(doc if isinstance(doc, dict) else {"regimes": doc}, {"regimes": [_REGIME_KINDS]}, "")
+    if not wrapper.get("regimes"):
         raise ConfigError("regimes file must hold a nonempty list of simulation configs")
     names = []
     regimes = []
-    for i, entry in enumerate(regimes_doc):
-        entry = _checked(entry, _REGIME_KINDS, f"regimes[{i}]")
+    for i, entry in enumerate(wrapper["regimes"]):
         names.append(entry.pop("name", f"regime{i}"))
         regimes.append(_simulation(entry, f"regimes[{i}]"))
 

@@ -18,7 +18,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from ._numeric import open_for_write, read_json, write_json
+from ._numeric import open_for_write, read_json_object, write_json
 from .errors import ConfigError, ParseError
 
 __all__ = [
@@ -245,11 +245,7 @@ def save_metadata(panel: PanelData, dest: str | Path) -> None:
 
 
 def load_metadata(source: str | Path) -> dict:
-    meta = read_json(source)
-    for key in ("n_units", "t_total", "t0", "target_label"):
-        if key not in meta:
-            raise ParseError(f"sidecar metadata missing key {key!r}")
-    return meta
+    return read_json_object(source, ("n_units", "t_total", "t0", "target_label"), "sidecar metadata")
 
 
 def mean_center(panel: PanelData) -> CenteredPanel:

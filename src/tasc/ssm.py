@@ -36,14 +36,12 @@ means agree with such a loop to rounding, not bitwise.  The smoother gains
 depend on theta alone as well, so the covariance half makes them: one solve
 on the fresh factor of P_pred for each new pair of consecutive entries.
 
-The conditioning gates run once per pass over the stacked factor diagonals
-rather than once per step, and a failure names the same step a per-step
-gate would: M's factors are gated after each segment's covariance loop (the
-first failing step wins, over any error of a later step in the loop), and
-the smoother gates every factor of P_pred before it reads a gain (naming
-the latest step that uses a failing factor, the step a backward loop would
-reach first).  The smoother runs the smoothed means as a reverse scan and
-repeats smoothed covariances by phase once their inputs recur.
+M's factors are gated after each segment's covariance loop, and the
+smoother gates every factor of P_pred before it reads a gain, each as one
+call of :func:`tasc._numeric.gate_factor_diag` over the stacked factor
+diagonals; that function documents the messages and the step a failure
+names.  The smoother runs the smoothed means as a reverse scan and repeats
+smoothed covariances by phase once their inputs recur.
 """
 
 from __future__ import annotations
@@ -55,8 +53,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from ._numeric import (
-    check_factor_diag,
-    factor_diag_ok,
+    gate_factor_diag,
     min_eig,
     psd_sqrt,
     read_json_object,
@@ -66,7 +63,7 @@ from ._numeric import (
     try_cholesky,
     write_json,
 )
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 
 __all__ = [
     "StateSpaceParams",
@@ -248,10 +245,8 @@ def _observed_rows(theta: StateSpaceParams, target_missing: bool, step: int) -> 
     H = theta.H[rows]
     if theta.diag_noise:
         r = theta.R[rows]
-        if not np.all(r > 0):
-            raise NumericalError(f"{_INNOVATION} is not positive definite", step=step)
-        sd = np.sqrt(r)
-        check_factor_diag(sd, _INNOVATION, step)
+        sd = np.sqrt(np.maximum(r, 0.0))  # a pivot <= 0 where r is
+        gate_factor_diag(sd, _INNOVATION, step)
         inv_sd, low_R = 1.0 / sd, None
         Hw = inv_sd[:, None] * H
         logdet_R = float(np.log(r).sum())
@@ -289,6 +284,7 @@ def _covariance_half(
     e0, g0 = len(entries), len(gains)
     cov, gain = np.arange(e0, e0 + n_cols), np.arange(g0, g0 + n_cols)
     seen: dict[bytes, int] = {}
+    failed = []  # a NaN row at the step whose M has no factor
     try:
         for j in range(n_cols):
             AP = dot(A, P)
@@ -306,7 +302,8 @@ def _covariance_half(
             M += unit
             low = try_cholesky(M)
             if low is None:
-                raise NumericalError(f"{_INNOVATION} is not positive definite", step=k0 + 1 + j)
+                failed.append(np.full(theta.d, np.nan))
+                break
             W = spd_solve(low, L.T)
             entries.append((P_pred, L, low_pred is not None, symmetrize(dot(L, W)), W, low.diagonal()))
             gains.append(_gain(AP, entries[-1]))
@@ -316,12 +313,10 @@ def _covariance_half(
         # unit eigenvalues, so M's factor plus a unit diagonal gates S as a
         # dense factor of S would be gated.  Raised here, a failure replaces
         # any error of a later step.
-        if len(entries) > e0:
-            diags = np.array([entry[5] for entry in entries[e0:]])
-            diags = np.hstack([diags, np.ones((len(diags), 1))])
-            bad = np.flatnonzero(~factor_diag_ok(diags))
-            if bad.size:
-                check_factor_diag(diags[bad[0]], _INNOVATION, step=k0 + 1 + int(bad[0]))
+        diags = [entry[5] for entry in entries[e0:]] + failed
+        if diags:
+            diags = np.hstack([np.array(diags), np.ones((len(diags), 1))])
+            gate_factor_diag(diags, _INNOVATION, k0 + 1 + np.arange(len(diags)))
     return cov, gain
 
 
@@ -445,9 +440,7 @@ def smooth_pass(filtered: FilteredTrajectory, theta: StateSpaceParams) -> Smooth
     Step k (0..K-1) pairs the filtered P_k (P0 at k = 0) with P_pred_{k+1}.
     The gains G_k = P_k A' P_pred_{k+1}^-1 come from the filter's covariance
     pass, one per distinct pair of covariance entries.  The factors of P_pred
-    are gated once, together, before any gain is read; a failure names the
-    latest step that uses the failing factor, the step the backward loop
-    would reach first.  The smoothed means follow
+    are gated once, together, before any gain is read.  The smoothed means follow
     m_s_k = G_k m_s_{k+1} + (m_k - G_k m_pred_{k+1}), run as one reverse scan.
     P_s is a backward loop until a step's inputs (its pair and P_s_{k+1})
     equal a later step's bitwise; from there P_s repeats with the period
@@ -458,14 +451,9 @@ def smooth_pass(filtered: FilteredTrajectory, theta: StateSpaceParams) -> Smooth
     if k_total == 0:
         raise ConfigError("smooth_pass needs a nonempty filtered trajectory")
     cov, gain = filtered.cov, filtered.gain
-    chol = filtered.chol_e
-    diags = filtered.L_e.diagonal(axis1=1, axis2=2)
-    bad = np.flatnonzero(~(chol & factor_diag_ok(diags))[cov])
-    if bad.size:
-        k = int(bad[-1])
-        if not chol[cov[k]]:  # the filter's Cholesky of this P_pred failed
-            raise NumericalError(f"{_PREDICTION} is not positive definite", step=k)
-        check_factor_diag(diags[cov[k]], _PREDICTION, step=k)
+    # NaN rows where the filter's Cholesky of P_pred failed
+    diags = np.where(filtered.chol_e[:, None], filtered.L_e.diagonal(axis1=1, axis2=2), np.nan)
+    gate_factor_diag(diags[cov[::-1]], _PREDICTION, np.arange(k_total)[::-1])
     G = filtered.G_e[gain]
 
     m_s = np.empty((k_total + 1, theta.d))

@@ -7,7 +7,8 @@ search.  They are slow and only suitable for tiny instances, except the
 simplex KKT check, which certifies a solution for any number of donors.  The
 plain per-step recursions are the exception: they are the loops that the
 filter's and smoother's scans, the smoother's covariance pass and the
-moment GEMMs replace, kept as their reference.
+moment GEMMs replace, kept as their reference, and so is the conditioning
+rule as a squared ratio.
 """
 
 from __future__ import annotations
@@ -352,3 +353,15 @@ def q_gradient_fd(stats, k_total, theta, m0s, P0s, h=1e-5):
             f_down = q_function(stats, k_total, m0s=m0s, P0s=P0s, **args)
             worst = max(worst, abs(f_up - f_down) / (2.0 * h))
     return worst
+
+
+def factor_diag_ok(diags):
+    """The conditioning rule on each row of ``diags`` as a squared ratio: True where the row passes.
+
+    Both ends finite and (hi / lo)^2 <= 1e12, squared in numpy so that an
+    overflow gives inf rather than an error.  The reference for the gate's
+    unsquared comparison on rows of positive entries.
+    """
+    lo, hi = diags.min(axis=1), diags.max(axis=1)
+    with np.errstate(all="ignore"):
+        return np.isfinite(lo) & np.isfinite(hi) & ((hi / lo) ** 2 <= 1e12)

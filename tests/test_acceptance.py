@@ -8,6 +8,7 @@ stated runtime budgets on a desktop-class machine.
 import time
 
 import numpy as np
+import pytest
 
 from tasc import (
     EmConfig,
@@ -139,6 +140,7 @@ STRESS_REGIME = dict(
 )
 
 
+@pytest.mark.slow
 class TestCriterion4PermutationStress:
     def test_baseline_invariance_and_tasc_degradation(self):
         start = time.time()
@@ -187,6 +189,7 @@ class TestCriterion4PermutationStress:
 RANKING_BASE = dict(d_true=10, n_units=50, t_total=100, spectral_radius=0.95)
 
 
+@pytest.mark.slow
 class TestCriterion5RegimeRanking:
     def test_method_medians_by_regime(self):
         start = time.time()
@@ -236,6 +239,7 @@ DSENS_LAMBDA = 1e-3
 D_GRID = (3, 5, 10, 20)
 
 
+@pytest.mark.slow
 class TestCriterion6DSensitivity:
     def test_minimum_at_true_dimension_and_overfit_robustness(self):
         start = time.time()

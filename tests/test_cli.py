@@ -180,6 +180,18 @@ class TestSimulate:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["config"]["seed"] == 9
 
+    def test_simulated_panel_feeds_infer_unchanged(self, tmp_path):
+        # panel.csv carries no leading # meta line, so infer reads its first line as the header.
+        out = tmp_path / "simout"
+        config = '{"d_true": 1, "n_units": 4, "t_total": 12, "t0": 8}'
+        assert main(["simulate", "--config", config, "--output", str(out)]) == 0
+        code = main([
+            "infer", "--input", str(out / "panel.csv"), "--t0", "8", "--method", "sc",
+            "--output", str(tmp_path / "cf.csv"),
+        ])
+        assert code == 0
+        assert len(read_csv_rows(tmp_path / "cf.csv")) == 4
+
 
 class TestPlacebo:
     def test_outputs_tables_and_retained_lists(self, toy_panel_csv, tmp_path):
@@ -391,8 +403,11 @@ class TestParsing:
             ("simulate", ["--config", '{"d_true": 1, "n_units": 4, "t_total": 12, "t0": 8, "sed": 3}'], "sed"),
             ("bench", ["--methods", "sc", "--regimes", '[{"d_true": 1, "n_units": 4, "t_total": 12, "t0": 8, "T": 9}]'],
              "regimes[0].T"),
+            ("bench", ["--methods", "sc", "--regimes",
+                       '{"regimes": [{"d_true": 1, "n_units": 4, "t_total": 12, "t0": 8}], "replicatez": 5}'],
+             "replicatez"),
         ],
-        ids=["em_n_iter", "em_seed", "top_metod", "simulate_sed", "regime_T"],
+        ids=["em_n_iter", "em_seed", "top_metod", "simulate_sed", "regime_T", "regimes_wrapper"],
     )
     def test_unknown_config_key_exits_1(self, toy_panel_csv, tmp_path, capsys, command, extra, named):
         path, _ = toy_panel_csv

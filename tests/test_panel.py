@@ -206,6 +206,13 @@ class TestSaveCsvRoundTrip:
         save_metadata(panel, path)
         assert load_metadata(path) == meta
         assert load_metadata(path.read_text()) == meta  # inline JSON text
+        path.write_text("5")
+        with pytest.raises(ConfigError, match="^sidecar metadata must be a JSON object, got int$"):
+            load_metadata(path)
+        with pytest.raises(ConfigError, match="^sidecar metadata must be a JSON object, got list$"):
+            load_metadata("[3, 4, 2]")
+        with pytest.raises(ConfigError, match="^sidecar metadata is missing key 't_total'$"):
+            load_metadata('{"n_units": 3, "t0": 2, "target_label": "u0"}')
 
 
 class TestMeanCenter:

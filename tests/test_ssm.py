@@ -20,7 +20,7 @@ from tasc import (
     smooth_pass,
 )
 
-from tasc import ssm
+from tasc import _numeric
 from tasc._numeric import write_json
 from tasc.ssm import _params_doc
 
@@ -238,6 +238,15 @@ class TestKalmanStep:
             filter_pass(np.zeros((1, 6)), theta)
         assert err.value.step == 3
 
+    def test_noise_ratio_past_the_float_range_fails_the_condition_gate(self):
+        # sqrt(R) spans 1e-150 to 1e5: squaring the ratio 1e155 would overflow.
+        theta = StateSpaceParams(
+            A=np.eye(1), H=np.ones((2, 1)), Q=[[1.0]], R=[1e-300, 1e10], m0=[0.0], P0=[[1.0]],
+        )
+        with pytest.raises(NumericalError, match=r"^innovation covariance S condition number exceeds 1e\+12$") as err:
+            filter_pass(np.zeros((2, 3)), theta)
+        assert err.value.step == 1
+
     def test_condition_failure_wins_over_a_later_cholesky_failure(self, monkeypatch):
         # M's factor fails the condition gate at step 2; M itself rounds to a
         # matrix with no Cholesky factor at step 4.  The gate runs after the
@@ -250,7 +259,7 @@ class TestKalmanStep:
         with pytest.raises(NumericalError, match=r"^innovation covariance S condition number exceeds 1e\+12$") as err:
             filter_pass(Y, theta)
         assert err.value.step == 2
-        monkeypatch.setattr(ssm, "factor_diag_ok", lambda diags: np.ones(len(diags), dtype=bool))
+        monkeypatch.setattr(_numeric, "COND_LIMIT", np.inf)  # lift the ratio limit
         with pytest.raises(NumericalError, match="^innovation covariance S is not positive definite$") as err:
             filter_pass(Y, theta)
         assert err.value.step == 4
