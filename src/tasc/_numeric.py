@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import IO, Iterator
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from numpy.linalg import _umath_linalg
 
 from .errors import ConfigError, NumericalError
 
@@ -64,29 +64,41 @@ def gate_factor_diag(diags: np.ndarray, what: str, step: int | np.ndarray | None
     raise NumericalError(f"{what} {problem}", step=step if diags.ndim == 1 else int(step[i]))
 
 
-# The factorizations below call LAPACK potrf/potrs directly: at the d x d
-# sizes of the filter loop the checking wrappers in scipy.linalg cost several
-# times the factorization itself.  ``lower`` is passed by position: f2py's
-# keyword parsing costs more than a 3 x 3 solve.
+# numpy's own LAPACK gufuncs are the package's one LAPACK binding: they are
+# the kernels np.linalg.cholesky and np.linalg.solve call, without those
+# wrappers' checks and errstate, which at the d x d sizes of the filter loop
+# cost more than the work.  Binding scipy.linalg instead would more than
+# double what importing tasc costs in time and resident memory.  Both
+# gufuncs broadcast over stacks of matrices.  A factorization or solve that
+# fails fills its output with NaN and raises the "invalid" floating-point
+# flag; callers silence that flag once per pass, with
+# ``np.errstate(invalid="ignore")`` around the pass, never per call.
+# psd_sqrt, whose fallback is an eigendecomposition, silences its own.
+cholesky = _umath_linalg.cholesky_lo  # lower factors, reading only the lower triangle
 
 
 def spd_cholesky(m: np.ndarray, what: str, step: int | None = None) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix, passed through :func:`gate_factor_diag`."""
-    low, info = dpotrf(m, 1)
-    gate_factor_diag(low.diagonal() if info == 0 else np.full(1, np.nan), what, step)
+    low = cholesky(m)
+    gate_factor_diag(low.diagonal(), what, step)  # NaN where the factorization failed
     return low
 
 
-def spd_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b given the lower Cholesky factor of M."""
-    x, _ = dpotrs(low, b, 1)
-    return x
+def spd_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve M x = b by LU for a nonsingular M, or a stack of them.
+
+    ``b`` is one vector per matrix when it has one dimension fewer than
+    ``m``, else one matrix per matrix.  M is an SPD matrix that
+    :func:`spd_cholesky` or a stacked gate has judged, or, to whiten
+    observations, R's Cholesky factor.
+    """
+    return (_umath_linalg.solve1 if b.ndim == m.ndim - 1 else _umath_linalg.solve)(m, b)
 
 
 def try_cholesky(m: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factor of ``m``, or None where the factorization fails; no gate."""
-    low, info = dpotrf(m, 1)
-    return low if info == 0 else None
+    low = cholesky(m)
+    return None if math.isnan(low[0, 0]) else low
 
 
 def ensure_spd(m: np.ndarray, what: str, jitter: float = 1e-9) -> np.ndarray:
@@ -100,7 +112,8 @@ def ensure_spd(m: np.ndarray, what: str, jitter: float = 1e-9) -> np.ndarray:
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """A square root L with L @ L.T = m, tolerating semidefinite input."""
-    low = try_cholesky(m)
+    with np.errstate(invalid="ignore"):
+        low = try_cholesky(m)
     if low is not None:
         return low
     vals, vecs = np.linalg.eigh(symmetrize(m))

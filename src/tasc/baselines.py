@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._numeric import read_json_object, spd_cholesky, spd_solve, write_json
+from ._numeric import cholesky, gate_factor_diag, read_json_object, spd_cholesky, spd_solve, write_json
 from .errors import ConfigError, NumericalError, SolverError
 from .panel import PanelData
 
@@ -74,8 +74,10 @@ class RscConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ConfigError("kept rank d must be >= 1")
-        if self.lambda_ < 0:
-            raise ConfigError("ridge coefficient must be >= 0")
+        if not (math.isfinite(self.lambda_) and self.lambda_ >= 0):
+            raise ConfigError("ridge coefficient must be finite and >= 0")
+        if self.cv_grid is not None and not all(math.isfinite(c) and c >= 0 for c in self.cv_grid):
+            raise ConfigError("cv_grid entries must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,7 @@ def _require_finite(values: np.ndarray, name: str) -> None:
         raise ConfigError(f"{name} must be entirely finite")
 
 
+@np.errstate(invalid="ignore")  # a failing factorization is NaN, judged by the gate
 def sc_fit(
     y1_pre: np.ndarray,
     donors_pre: np.ndarray,
@@ -143,11 +146,12 @@ def sc_fit(
         # Minor cycle: step from lam toward the affine minimizer on the support,
         # (G_S + 11')^-1 1 normalized, until a weight reaches zero.  G_S + 11' is
         # positive definite exactly when the support points are affinely independent.
+        gram_s = gram[np.ix_(support, support)] + 1.0
         try:
-            low = spd_cholesky(gram[np.ix_(support, support)] + 1.0, "simplex support Gram matrix")
+            spd_cholesky(gram_s, "simplex support Gram matrix")
         except NumericalError as exc:
             raise SolverError(f"simplex solver failed on a support of {support.size} donors: {exc}") from None
-        alpha = spd_solve(low, np.ones(support.size))
+        alpha = spd_solve(gram_s, np.ones(support.size))
         alpha /= alpha.sum()
         blocking = (alpha <= _ZERO) & (lam - alpha > _RATIO_MIN)
         theta = float(np.min(lam[blocking] / (lam - alpha)[blocking], initial=1.0))
@@ -187,13 +191,22 @@ def hsvt(Y: np.ndarray, d: int) -> np.ndarray:
     return (u[:, :d] * s[:d]) @ vt[:d]
 
 
-def _ridge_solve(X_pre: np.ndarray, y_pre: np.ndarray, lam: float) -> np.ndarray:
-    normal = X_pre @ X_pre.T + lam * np.eye(X_pre.shape[0])
-    try:
-        low = spd_cholesky(normal, "ridge normal matrix")
-    except NumericalError:
-        raise SolverError("ridge normal matrix is singular; use lambda > 0") from None
-    return spd_solve(low, X_pre @ y_pre)
+@np.errstate(invalid="ignore")  # a failing factorization is NaN, judged by the gate
+def _ridge_solve(X_pre: np.ndarray, y_pre: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Ridge weights (X X' + lam I)^-1 X y, one row per entry of ``lams``.
+
+    The normal matrices are factored in one stacked call, for the gate, and
+    solved in another.  A row whose matrix fails the gate is NaN.
+    """
+    gram = X_pre @ X_pre.T
+    normal = gram + lams[:, None, None] * np.eye(len(gram))
+    f = spd_solve(normal, np.broadcast_to(X_pre @ y_pre, (len(lams), len(gram))))
+    for row, diag in zip(f, cholesky(normal).diagonal(axis1=1, axis2=2)):
+        try:
+            gate_factor_diag(diag, "ridge normal matrix")
+        except NumericalError:
+            row[:] = np.nan
+    return f
 
 
 def rsc_fit(panel: PanelData, config: RscConfig) -> RscFit:
@@ -224,17 +237,14 @@ def rsc_fit(panel: PanelData, config: RscConfig) -> RscFit:
             raise ConfigError("too few pre periods for leave-last-k validation")
         X_train, X_val = X_pre[:, : t0 - k], X_pre[:, t0 - k :]
         y_train, y_val = y1[: t0 - k], y1[t0 - k :]
-        cv_errors = {}
-        for cand in grid:
-            try:
-                f_cand = _ridge_solve(X_train, y_train, float(cand))
-                err = float(np.sqrt(np.mean((y_val - f_cand @ X_val) ** 2)))
-            except SolverError:
-                err = np.inf
-            cv_errors[float(cand)] = err
+        f_cand = _ridge_solve(X_train, y_train, np.array(grid, dtype=float))
+        errs = np.sqrt(np.mean((y_val - f_cand @ X_val) ** 2, axis=1))
+        cv_errors = {float(c): float(e) if np.isfinite(e) else np.inf for c, e in zip(grid, errs)}
         lam = min(cv_errors, key=lambda c: (cv_errors[c], c))
 
-    f = _ridge_solve(X_pre, y1, float(lam))
+    f = _ridge_solve(X_pre, y1, np.array([float(lam)]))[0]
+    if np.isnan(f).any():
+        raise SolverError("ridge normal matrix is singular; use lambda > 0")
     weights = DonorWeights(f=f, kind="ridge", lambda_=float(lam), d=config.d)
     return RscFit(weights=weights, denoised=denoised, lambda_=float(lam), cv_errors=cv_errors)
 

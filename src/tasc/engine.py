@@ -11,12 +11,13 @@ variance off the smoothed latent moments.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
 
-from ._numeric import ensure_spd, min_eig, spd_cholesky, spd_solve, symmetrize
+from ._numeric import cholesky, ensure_spd, gate_factor_diag, min_eig, spd_solve, symmetrize
 from .errors import ConfigError, FitError, NumericalError, TascError
 from .panel import PanelData
 from .ssm import (
@@ -74,8 +75,8 @@ class EmConfig:
             raise ConfigError("latent dimension d must be >= 1")
         if self.n_iters < 0:
             raise ConfigError("n_iters must be >= 0")
-        if self.rel_tol < 0:
-            raise ConfigError("rel_tol must be >= 0")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0):
+            raise ConfigError("rel_tol must be finite and >= 0")
         if self.n_restarts < 1:
             raise ConfigError("n_restarts must be >= 1")
 
@@ -154,6 +155,11 @@ def init_params(Y_pre: np.ndarray, config: EmConfig, restart_index: int = 0) -> 
     rng = np.random.default_rng([config.seed & 0xFFFFFFFF, restart_index])
 
     u, s, vt = np.linalg.svd(Y_pre, full_matrices=False)
+    # LAPACK's sign for each singular pair can flip when the donor rows are
+    # permuted.  Each row of vt indexes time, so making it positive at its
+    # largest-magnitude entry fixes the sign without seeing the row order.
+    signs = np.sign(vt[np.arange(len(vt)), np.abs(vt).argmax(axis=1)])
+    u, vt = u * signs, vt * signs[:, None]
     scale = np.sqrt(t0)
     H = u[:, :d] * (s[:d] / scale)
     latent = scale * vt[:d]  # H @ latent equals the rank-d reconstruction
@@ -184,6 +190,7 @@ def accumulate_stats(smoothed: SmoothedTrajectory, Y: np.ndarray) -> SufficientS
     return SufficientStats(sigma=symmetrize(sigma), phi=symmetrize(phi), b=b, c=c, Y=Y)
 
 
+@np.errstate(invalid="ignore")  # a failing factorization is NaN, judged by the gate or ensure_spd
 def m_step(
     stats: SufficientStats,
     theta_old: StateSpaceParams,
@@ -196,13 +203,15 @@ def m_step(
     moments evaluated at the fresh A'/H' (kept diagonal when
     ``theta_old.diag_noise``, R' then as its vector), floored to stay
     positive definite.  The initial covariance update inflates the smoothed P0
-    by the shift of the initial mean from its previous value.  A singular or ill-conditioned Phi or Sigma
-    raises NumericalError from its Cholesky gate.
+    by the shift of the initial mean from its previous value.  Phi and Sigma
+    are factored in one stacked call; a singular or ill-conditioned one raises
+    NumericalError from its Cholesky gate.
     """
-    low_phi = spd_cholesky(stats.phi, "state moment matrix Phi")
-    low_sigma = spd_cholesky(stats.sigma, "state moment matrix Sigma")
-    A_new = spd_solve(low_phi, stats.c.T).T  # c Phi^-1, Phi symmetric
-    H_new = spd_solve(low_sigma, stats.b.T).T  # b Sigma^-1
+    diags = cholesky(np.array([stats.phi, stats.sigma])).diagonal(axis1=1, axis2=2)
+    gate_factor_diag(diags[0], "state moment matrix Phi")
+    gate_factor_diag(diags[1], "state moment matrix Sigma")
+    A_new = spd_solve(stats.phi, stats.c.T).T  # c Phi^-1, Phi symmetric
+    H_new = spd_solve(stats.sigma, stats.b.T).T  # b Sigma^-1
 
     q_full = stats.sigma - 2.0 * stats.c @ A_new.T + A_new @ stats.phi @ A_new.T
     if theta_old.diag_noise:

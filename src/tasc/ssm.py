@@ -33,8 +33,8 @@ half is a linear recursion in the state, run as one log-depth scan over the
 segment (Sarkka & Garcia-Fernandez, Temporal parallelization of Bayesian
 smoothers, IEEE TAC 2021); it sums in another order than a per-step loop, so
 means agree with such a loop to rounding, not bitwise.  The smoother gains
-depend on theta alone as well, so the covariance half makes them: one solve
-on the fresh factor of P_pred for each new pair of consecutive entries.
+depend on theta alone as well, so the covariance half makes them, one per
+new pair of consecutive entries, in one stacked solve after its loop.
 
 M's factors are gated after each segment's covariance loop, and the
 smoother gates every factor of P_pred before it reads a gain, each as one
@@ -48,11 +48,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ._numeric import (
+    cholesky,
     gate_factor_diag,
     min_eig,
     psd_sqrt,
@@ -226,7 +227,7 @@ class _ObservedRows:
         """Whiten the columns of ``v``, one observation per column."""
         if self.inv_sd is not None:
             return self.inv_sd[:, None] * v
-        return solve_triangular(self.low_R, v, lower=True, check_finite=False)
+        return spd_solve(self.low_R, v)
 
 
 _INNOVATION = "innovation covariance S"
@@ -253,81 +254,89 @@ def _observed_rows(theta: StateSpaceParams, target_missing: bool, step: int) -> 
     else:
         low_R = spd_cholesky(theta.R[rows, rows], _INNOVATION, step=step)
         inv_sd = None
-        Hw = solve_triangular(low_R, H, lower=True, check_finite=False)
+        Hw = spd_solve(low_R, H)
         logdet_R = 2.0 * float(np.log(np.diag(low_R)).sum())
     J = symmetrize(Hw.T @ Hw)
     return _ObservedRows(rows=rows, Hw=Hw, J=J, logdet_R=logdet_R, inv_sd=inv_sd, low_R=low_R)
 
 
+class _Entries(NamedTuple):
+    """The distinct covariance entries of one or more segments, stacked, and their smoother gains."""
+
+    P_pred: np.ndarray  # (E, d, d)
+    L: np.ndarray  # (E, d, d) Cholesky factor of P_pred, or psd_sqrt's root where not chol
+    chol: np.ndarray  # (E,) bool
+    P: np.ndarray  # (E, d, d)
+    W: np.ndarray  # (E, d, d), M^-1 L'
+    M_diag: np.ndarray  # (E, d) diagonal of M's Cholesky factor
+    G: np.ndarray  # (gains, d, d)
+
+
 def _covariance_half(
-    P: np.ndarray, theta: StateSpaceParams, obs: _ObservedRows, n_cols: int, k0: int, entries: list, gains: list
-) -> tuple[np.ndarray, np.ndarray]:
-    """Append the distinct covariance entries and gains of the ``n_cols`` steps after time index ``k0``.
+    P: np.ndarray, theta: StateSpaceParams, obs: _ObservedRows, n_cols: int, k0: int
+) -> tuple[_Entries, np.ndarray, np.ndarray]:
+    """The distinct covariance entries and gains of the ``n_cols`` steps after time index ``k0``.
 
     Starts from the filtered covariance P.  Information form: with
-    P_pred = L L' and M = I + L' J L (d x d), P = L W and W = M^-1 L'.  Each
-    entry is (P_pred, L, whether L is a Cholesky factor, P, W, the diagonal of
-    M's factor).  The loop stops at the first P_pred equal bitwise to an
-    earlier one of the segment.  Each new pair (previous step's entry, this
-    step's entry) appends its smoother gain G = P_prev A' P_pred^-1 to
-    ``gains``, from P_pred's factor: a new pair arises at every transient
-    step, the segment's first among them, and at the step where the cycle
-    wraps.  Returns the entry index and the gain index of each step, filled by
-    phase from the cycle on.  M's factors are gated once, after the loop: a
-    failure raises NumericalError at the first failing step, and an error
-    inside the loop is raised only if no earlier step fails the gate.
+    P_pred = L L' and M = I + L' J L (d x d), P = L W and W = M^-1 L'.  The
+    loop makes two LAPACK calls per step, the factor of P_pred and the solve
+    for W, and stops at the first P_pred equal bitwise to an earlier one of
+    the segment.  Each new pair (previous step's entry, this step's entry) has
+    a smoother gain G = P_prev A' P_pred^-1: a new pair arises at every
+    transient step, the first among them, and at the step where the cycle
+    wraps.  After the loop every M is factored in one stacked call (for the
+    gate and log det M) and every gain solved in another.  Returns the entries,
+    then the entry index and the gain index of each step, filled by phase
+    from the cycle on, both counted from 0.  M's factors are gated even when
+    the loop raises: a failure raises NumericalError at the first failing
+    step, and an error inside the loop is raised only if no earlier step
+    fails the gate.  Call with the "invalid" flag silenced.
     """
     # np.dot rather than @: at d x d it skips most of matmul's dispatch cost,
     # and both call the same BLAS routine.
     A, Q, J, dot = theta.A, theta.Q, obs.J, np.dot
     unit = np.eye(theta.d)
-    e0, g0 = len(entries), len(gains)
-    cov, gain = np.arange(e0, e0 + n_cols), np.arange(g0, g0 + n_cols)
+    cov, gain = np.arange(n_cols), np.arange(n_cols)
     seen: dict[bytes, int] = {}
-    failed = []  # a NaN row at the step whose M has no factor
+    # One row per gain in AP_g, P_pred_g and chol_g: A P_prev, then P_pred and
+    # whether it has a Cholesky factor.  The first rows are the entries'; a
+    # wrap adds a last row whose P_pred equals its entry's bitwise.
+    AP_g, P_pred_g, chol_g, L_e, P_e, W_e, M_e = [], [], [], [], [], [], []
     try:
         for j in range(n_cols):
             AP = dot(A, P)
             P_pred = symmetrize(dot(AP, A.T) + Q)
             first = seen.setdefault(P_pred.tobytes(), j)
+            AP_g.append(AP), P_pred_g.append(P_pred)
             if first != j:
                 phase = np.arange(n_cols - j) % (j - first)
-                cov[j:] = e0 + first + phase
-                gain[j:] = np.where(phase == 0, g0 + j, g0 + first + phase)
-                gains.append(_gain(AP, entries[e0 + first]))
+                cov[j:] = first + phase
+                gain[j:] = np.where(phase == 0, j, first + phase)
+                chol_g.append(chol_g[first])
                 break
             low_pred = try_cholesky(P_pred)  # no gate here: the smoother gates P_pred
             L = psd_sqrt(P_pred) if low_pred is None else low_pred
-            M = dot(dot(L.T, J), L)  # potrf reads only the lower triangle: no symmetrize needed
+            M = dot(dot(L.T, J), L)  # unsymmetrized: potrf reads one triangle, and any asymmetry is rounding
             M += unit
-            low = try_cholesky(M)
-            if low is None:
-                failed.append(np.full(theta.d, np.nan))
-                break
-            W = spd_solve(low, L.T)
-            entries.append((P_pred, L, low_pred is not None, symmetrize(dot(L, W)), W, low.diagonal()))
-            gains.append(_gain(AP, entries[-1]))
-            P = entries[-1][3]
+            W = spd_solve(M, L.T)
+            P = symmetrize(dot(L, W))
+            chol_g.append(low_pred is not None), L_e.append(L), P_e.append(P), W_e.append(W), M_e.append(M)
     finally:
         # Whitened by R, S is I + Hw P_pred Hw': its spectrum is M's up to
         # unit eigenvalues, so M's factor plus a unit diagonal gates S as a
         # dense factor of S would be gated.  Raised here, a failure replaces
         # any error of a later step.
-        diags = [entry[5] for entry in entries[e0:]] + failed
-        if diags:
-            diags = np.hstack([np.array(diags), np.ones((len(diags), 1))])
-            gate_factor_diag(diags, _INNOVATION, k0 + 1 + np.arange(len(diags)))
-    return cov, gain
-
-
-def _gain(AP: np.ndarray, entry: tuple) -> np.ndarray:
-    """The smoother gain P_prev A' P_pred^-1, given A P_prev and the entry of P_pred.
-
-    NaN where the entry holds no Cholesky factor: the smoother's gate rejects
-    such an entry before any gain is read.
-    """
-    _, L, chol = entry[:3]
-    return spd_solve(L, AP).T if chol else np.full(AP.shape, np.nan)
+        if M_e:
+            M_diag = cholesky(np.array(M_e)).diagonal(axis1=1, axis2=2)
+            diags = np.hstack([M_diag, np.ones((len(M_e), 1))])
+            gate_factor_diag(diags, _INNOVATION, k0 + 1 + np.arange(len(M_e)))
+    P_pred_g, chol_g, n_e = np.array(P_pred_g), np.array(chol_g), len(M_e)
+    G = spd_solve(P_pred_g, np.array(AP_g)).transpose(0, 2, 1)
+    # NaN where the entry holds no Cholesky factor: the smoother's gate
+    # rejects such an entry before any gain is read.
+    G[~chol_g] = np.nan
+    entries = _Entries(P_pred_g[:n_e], np.array(L_e), chol_g[:n_e], np.array(P_e), np.array(W_e), M_diag, G)
+    return entries, cov, gain
 
 
 def _linear_scan(F: np.ndarray, g: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -376,18 +385,20 @@ def _forward(
     k_total = Y.shape[1]
     cut = k_total if missing_target_from is None else min(max(0, missing_target_from), k_total)
 
-    entries: list[tuple] = []
-    gains: list[np.ndarray] = []
+    parts: list[_Entries] = []
     segments = []
-    P = theta.P0
-    for start, stop, missing in ((0, cut, False), (cut, k_total, True)):
-        if start < stop:
-            obs = _observed_rows(theta, missing, step=start + 1)
-            e_lo = len(entries)
-            cov, gain = _covariance_half(P, theta, obs, stop - start, start, entries, gains)
-            segments.append((slice(start, stop), obs, cov, gain, slice(e_lo, len(entries))))
-            P = entries[cov[-1]][3]
-    P_pred_e, L_e, chol_e, P_e, W_e, M_diag_e = (np.array(x) for x in zip(*entries))
+    P, e0, g0 = theta.P0, 0, 0
+    with np.errstate(invalid="ignore"):  # failing factorizations are NaN, judged by the gates
+        for start, stop, missing in ((0, cut, False), (cut, k_total, True)):
+            if start < stop:
+                obs = _observed_rows(theta, missing, step=start + 1)
+                part, cov, gain = _covariance_half(P, theta, obs, stop - start, start)
+                n_e = len(part.P)
+                segments.append((slice(start, stop), obs, cov + e0, gain + g0, slice(e0, e0 + n_e)))
+                parts.append(part)
+                P, e0, g0 = part.P[cov[-1]], e0 + n_e, g0 + len(part.G)
+    entries = _Entries(*(np.concatenate(x) for x in zip(*parts))) if len(parts) > 1 else parts[0]
+    P_pred_e, L_e, chol_e, P_e, W_e, M_diag_e, G_e = entries
 
     A, LW_e = theta.A, L_e @ W_e
     m_pred, m = np.empty((k_total, theta.d)), np.empty((k_total, theta.d))
@@ -412,7 +423,7 @@ def _forward(
     filtered = FilteredTrajectory(
         m_pred=m_pred, m=m, cov=np.concatenate([seg[2] for seg in segments]), P_pred_e=P_pred_e, L_e=L_e,
         chol_e=chol_e, P_e=P_e, W_e=W_e, logdet_M_e=logdet_M_e,
-        G_e=np.array(gains), gain=np.concatenate([seg[3] for seg in segments]),
+        G_e=G_e, gain=np.concatenate([seg[3] for seg in segments]),
     )
     return filtered, loglik
 

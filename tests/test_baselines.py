@@ -197,6 +197,19 @@ class TestHsvt:
             hsvt(Y, 4)
 
 
+class TestRscConfigValidation:
+    def test_nan_lambda_rejected(self):
+        # rsc_fit would otherwise report a singular normal matrix.
+        with pytest.raises(ConfigError, match="ridge coefficient must be finite and >= 0"):
+            RscConfig(d=1, lambda_=float("nan"))
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    def test_bad_cv_grid_entry_rejected(self, bad):
+        # rsc_fit would otherwise score the candidate inf without a word.
+        with pytest.raises(ConfigError, match="cv_grid entries must be finite and >= 0"):
+            RscConfig(d=1, cv_grid=(bad, 1.0))
+
+
 class TestRscFit:
     def test_exact_least_squares_when_target_in_row_space(self):
         rng = np.random.default_rng(11)

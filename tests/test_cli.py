@@ -417,6 +417,16 @@ class TestParsing:
         assert err.startswith(f"tasc: error: {named} is not a known key; expected one of: ")
         assert not (tmp_path / "o.csv").exists()
 
+    def test_negative_cv_grid_entry_exits_1(self, toy_panel_csv, tmp_path, capsys):
+        path, _ = toy_panel_csv
+        code = main([
+            "infer", "--input", str(path), "--t0", "16", "--method", "rsc", "--output", str(tmp_path / "o.csv"),
+            "--config", '{"rsc": {"d": 1, "cv_grid": [-1.0, 1.0]}}',
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "tasc: error: cv_grid entries must be finite and >= 0\n"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_em_section_takes_every_default_from_emconfig(self):
         args = cli.build_parser().parse_args(["infer", "--method", "tasc", "--output", "o.csv"])
         estimator = cli._build_estimator(args, cli._load_config('{"em": {"d": 2}}'))

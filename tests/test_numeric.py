@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tasc import NumericalError
-from tasc._numeric import gate_factor_diag, spd_cholesky
+from tasc import NumericalError, SolverError, StateSpaceParams, filter_pass, m_step, sc_fit, smooth_pass
+from tasc import _numeric, baselines
+from tasc._numeric import gate_factor_diag, spd_cholesky, spd_solve, try_cholesky
+from tasc.engine import SufficientStats
 
 from oracles import factor_diag_ok
 
@@ -90,6 +92,102 @@ class TestGate:
             assert str(err) == _MESSAGES[kind] and err.step == 5
 
     def test_spd_cholesky_failure_is_not_positive_definite(self):
-        with pytest.raises(NumericalError, match=f"^{_MESSAGES['pd']}$") as err:
+        # The binding leaves the "invalid" flag of a failing factorization to
+        # the caller's pass, which silences it once.
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=f"^{_MESSAGES['pd']}$") as err:
             spd_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), _WHAT, step=4)
         assert err.value.step == 4
+
+
+def _random_spd(rng, d):
+    x = rng.standard_normal((d, d + 2))
+    return x @ x.T + 1e-3 * np.eye(d)
+
+
+class TestBinding:
+    """The LAPACK binding is numpy's own: the first tests to fail if numpy moves its linalg kernels."""
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_factor_and_solve_equal_numpy_linalg_bitwise(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            m = _random_spd(rng, d)
+            b, B = rng.standard_normal(d), rng.standard_normal((d, 3))
+            expected = np.linalg.cholesky(m)
+            assert np.array_equal(spd_cholesky(m, _WHAT), expected)
+            assert np.array_equal(try_cholesky(m), expected)
+            assert np.array_equal(spd_solve(m, b), np.linalg.solve(m, b))
+            assert np.array_equal(spd_solve(m, B), np.linalg.solve(m, B))
+
+    def test_stacked_calls_equal_one_call_per_matrix(self):
+        rng = np.random.default_rng(0)
+        ms, bs = np.array([_random_spd(rng, 4) for _ in range(6)]), rng.standard_normal((6, 4, 2))
+        stacked_factor, stacked_solve = _numeric.cholesky(ms), spd_solve(ms, bs)
+        for m, b, low, x in zip(ms, bs, stacked_factor, stacked_solve):
+            assert np.array_equal(low, np.linalg.cholesky(m))
+            assert np.array_equal(x, np.linalg.solve(m, b))
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_non_positive_definite_input_fails(self, d):
+        m = _random_spd(np.random.default_rng(d), d)
+        m[-1, -1] = -1.0
+        with np.errstate(invalid="ignore"):
+            assert try_cholesky(m) is None
+            with pytest.raises(NumericalError, match=f"^{_MESSAGES['pd']}$"):
+                spd_cholesky(m, _WHAT)
+
+
+def _no_warning(call, error):
+    """``call()`` raises ``error`` with every warning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
+
+
+class TestFailingFactorizationsStayQuiet:
+    """A failing factorization inside a pass raises its typed error and no RuntimeWarning."""
+
+    def test_filter_pass_with_an_unfactorable_M(self, monkeypatch):
+        theta = StateSpaceParams(
+            A=[[0.5, -1.0], [1.0, 1e9]], H=[[0.0, -1.0]], Q=np.diag([1e-8, 1e16]),
+            R=[1.0], m0=np.zeros(2), P0=1e-8 * np.eye(2),
+        )
+        monkeypatch.setattr(_numeric, "COND_LIMIT", np.inf)  # so the failure is M's factorization
+        _no_warning(lambda: filter_pass(np.zeros((1, 6)), theta), NumericalError)
+
+    def test_filter_and_smooth_pass_with_an_unfactorable_P_pred(self):
+        # A singular A and Q = 0: P_pred is singular from step 2, so the filter
+        # takes psd_sqrt's root and the smoother's gate rejects it.
+        theta = StateSpaceParams(
+            A=[[1.0, 0.0], [0.0, 0.0]], H=[[1.0, 1.0], [1.0, -1.0]], Q=np.zeros((2, 2)),
+            R=[1.0, 1.0], m0=np.zeros(2), P0=np.eye(2),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            filtered = filter_pass(np.ones((2, 5)), theta)
+        assert not filtered.chol_e.all()
+        _no_warning(lambda: smooth_pass(filtered, theta), NumericalError)
+
+    def test_m_step_with_a_singular_phi(self):
+        theta = StateSpaceParams(
+            A=np.eye(2), H=np.ones((3, 2)), Q=np.eye(2), R=np.ones(3), m0=np.zeros(2), P0=np.eye(2)
+        )
+        stats = SufficientStats(
+            sigma=np.eye(2), phi=np.zeros((2, 2)), b=np.ones((3, 2)), c=np.eye(2), Y=np.ones((3, 4))
+        )
+        _no_warning(lambda: m_step(stats, theta, np.zeros(2), np.eye(2)), NumericalError)
+
+    def test_sc_fit_with_a_failing_support_factorization(self, monkeypatch):
+        # Wolfe's supports stay affinely independent on real inputs; a negated
+        # Gram matrix makes every minor cycle's factorization fail inside sc_fit.
+        monkeypatch.setattr(_numeric, "cholesky", lambda m: np.linalg._umath_linalg.cholesky_lo(-m))
+        donors = np.random.default_rng(0).standard_normal((4, 6))
+        _no_warning(lambda: sc_fit(donors.mean(axis=0), donors), SolverError)
+
+    def test_ridge_solve_with_a_singular_normal_matrix(self):
+        # The zero normal matrix of lambda = 0 has no factor: its row is NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = baselines._ridge_solve(np.zeros((3, 5)), np.ones(5), np.array([0.0, 1.0]))
+        assert np.isnan(f[0]).all() and np.array_equal(f[1], np.zeros(3))

@@ -249,10 +249,11 @@ class TestKalmanStep:
 
     def test_condition_failure_wins_over_a_later_cholesky_failure(self, monkeypatch):
         # M's factor fails the condition gate at step 2; M itself rounds to a
-        # matrix with no Cholesky factor at step 4.  The gate runs after the
-        # loop, but the earlier failure is the one raised.
+        # matrix with no Cholesky factor at step 3 (under numpy's LAPACK and
+        # under scipy's alike).  The gate runs after the loop, but the earlier
+        # failure is the one raised.
         theta = StateSpaceParams(
-            A=[[0.5, -1.0], [1.0, 1e8]], H=[[0.0, -1.0]], Q=np.diag([1e-8, 1e17]),
+            A=[[0.5, -1.0], [1.0, 1e9]], H=[[0.0, -1.0]], Q=np.diag([1e-8, 1e16]),
             R=[1.0], m0=np.zeros(2), P0=1e-8 * np.eye(2),
         )
         Y = np.zeros((1, 6))
@@ -262,7 +263,7 @@ class TestKalmanStep:
         monkeypatch.setattr(_numeric, "COND_LIMIT", np.inf)  # lift the ratio limit
         with pytest.raises(NumericalError, match="^innovation covariance S is not positive definite$") as err:
             filter_pass(Y, theta)
-        assert err.value.step == 4
+        assert err.value.step == 3
 
 
 class TestMissingTargetStep:
