@@ -38,7 +38,6 @@ from .ssm import (
     SmoothedTrajectory,
     StateSpaceParams,
     filter_pass,
-    log_likelihood,
     params_from_json,
     params_to_json,
     smooth_pass,

@@ -124,6 +124,18 @@ def min_eig(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(m)).min())
 
 
+def check_integer_fields(config, *names: str) -> None:
+    """Raise ConfigError naming the first of ``config``'s fields ``names`` that is not an integer.
+
+    A numpy integer is an integer and a bool is not, so a float or a flag
+    never reaches the slicing and seeding that would fail on it deep in numpy.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def derive_seed(*parts: int) -> int:
     """Counter-style derivation of an independent child seed from integer parts."""
     seq = np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in parts])

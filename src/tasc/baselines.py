@@ -15,7 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ._numeric import cholesky, gate_factor_diag, read_json_object, spd_cholesky, spd_solve, write_json
+from ._numeric import (
+    check_integer_fields,
+    cholesky,
+    gate_factor_diag,
+    read_json_object,
+    spd_cholesky,
+    spd_solve,
+    write_json,
+)
 from .errors import ConfigError, NumericalError, SolverError
 from .panel import PanelData
 
@@ -72,6 +80,7 @@ class RscConfig:
     cv_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        check_integer_fields(self, "d")
         if self.d < 1:
             raise ConfigError("kept rank d must be >= 1")
         if not (math.isfinite(self.lambda_) and self.lambda_ >= 0):

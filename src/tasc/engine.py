@@ -17,15 +17,11 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._numeric import cholesky, ensure_spd, gate_factor_diag, min_eig, spd_solve, symmetrize
+from ._numeric import check_integer_fields, cholesky, ensure_spd, gate_factor_diag, min_eig, spd_solve, symmetrize
 from .errors import ConfigError, FitError, NumericalError, TascError
 from .panel import PanelData
-from .ssm import (
-    SmoothedTrajectory,
-    StateSpaceParams,
-    _forward,
-    smooth_pass,
-)
+from .ssm import SmoothedTrajectory, StateSpaceParams, smooth_pass
+from .ssm import filter_pass as _forward  # the name the layer tracer wraps
 
 __all__ = [
     "EmConfig",
@@ -44,7 +40,9 @@ __all__ = [
 logger = logging.getLogger("tasc")
 
 # Floors keeping learned noise variances and the initial-residual estimate
-# strictly positive.
+# strictly positive.  R's floors are these multiples of the pre panel's mean
+# square, so that a fit to c Y is the fit to Y in units scaled by c; Q's is
+# absolute, because the latent starts on unit scale.
 _NOISE_FLOOR = 1e-10
 _INIT_R_FLOOR = 1e-4
 
@@ -58,9 +56,10 @@ class EmConfig:
     """Settings for the EM fit.
 
     ``d`` is the latent dimension, ``n_iters`` the iteration cap, ``rel_tol``
-    the relative log-likelihood improvement below which iteration stops, and
-    ``n_restarts`` the number of random initializations (the best final
-    likelihood wins).
+    the log-likelihood gain per pre-intervention cell (nats) below which
+    iteration stops, and ``n_restarts`` the number of random initializations
+    (the best final likelihood wins).  A gain per cell does not change when
+    the data are rescaled, which shifts the log-likelihood by a constant.
     """
 
     d: int
@@ -71,6 +70,7 @@ class EmConfig:
     diag_noise: bool = True
 
     def __post_init__(self):
+        check_integer_fields(self, "d", "n_iters", "n_restarts", "seed")
         if self.d < 1:
             raise ConfigError("latent dimension d must be >= 1")
         if self.n_iters < 0:
@@ -143,7 +143,8 @@ def init_params(Y_pre: np.ndarray, config: EmConfig, restart_index: int = 0) -> 
     sqrt(t0), so H times the implied latent series reproduces the rank-d
     reconstruction; the transition starts near 0.9 I with a small seeded
     perturbation, and R starts at the per-row residual variances of the
-    reconstruction (floored), as a vector under ``config.diag_noise``.
+    reconstruction, floored at ``_INIT_R_FLOOR`` times the panel's mean
+    square, as a vector under ``config.diag_noise``.
     """
     Y_pre = np.asarray(Y_pre, dtype=float)
     n, t0 = Y_pre.shape
@@ -166,7 +167,7 @@ def init_params(Y_pre: np.ndarray, config: EmConfig, restart_index: int = 0) -> 
     A = 0.9 * np.eye(d) + 0.01 * rng.standard_normal((d, d))
     Q = np.eye(d)
     resid = Y_pre - H @ latent
-    r = np.maximum(np.mean(resid**2, axis=1), _INIT_R_FLOOR)
+    r = np.maximum(np.mean(resid**2, axis=1), _INIT_R_FLOOR * np.mean(Y_pre**2))
     R = r if config.diag_noise else np.diag(r)
     m0 = latent[:, 0]
     P0 = np.eye(d)
@@ -202,7 +203,8 @@ def m_step(
     A' and H' are the exact maximizers; Q' and R' are the residual second
     moments evaluated at the fresh A'/H' (kept diagonal when
     ``theta_old.diag_noise``, R' then as its vector), floored to stay
-    positive definite.  The initial covariance update inflates the smoothed P0
+    positive definite: Q' at ``_NOISE_FLOOR``, R' at ``_NOISE_FLOOR`` times
+    the data's mean square.  The initial covariance update inflates the smoothed P0
     by the shift of the initial mean from its previous value.  Phi and Sigma
     are factored in one stacked call; a singular or ill-conditioned one raises
     NumericalError from its Cholesky gate.
@@ -214,31 +216,33 @@ def m_step(
     H_new = spd_solve(stats.sigma, stats.b.T).T  # b Sigma^-1
 
     q_full = stats.sigma - 2.0 * stats.c @ A_new.T + A_new @ stats.phi @ A_new.T
+    Y = stats.Y
+    mean_sq = np.einsum("ik,ik->i", Y, Y) / Y.shape[1]  # per row
+    r_floor = _NOISE_FLOOR * mean_sq.mean()
     if theta_old.diag_noise:
         # Only R's diagonal is kept, so it is formed row by row in O(NK + Nd^2)
         # rather than from the N x N moment d.
-        Y = stats.Y
         r_diag = (
-            np.einsum("ik,ik->i", Y, Y) / Y.shape[1]
+            mean_sq
             - 2.0 * np.einsum("ij,ij->i", stats.b, H_new)
             + np.einsum("ij,ij->i", H_new @ stats.sigma, H_new)
         )
         Q_new = np.diag(np.maximum(np.diag(q_full), _NOISE_FLOOR))
-        R_new = np.maximum(r_diag, _NOISE_FLOOR)
+        R_new = np.maximum(r_diag, r_floor)
     else:
         r_full = stats.d - 2.0 * stats.b @ H_new.T + H_new @ stats.sigma @ H_new.T
-        Q_new = _floor_spectrum(symmetrize(q_full))
-        R_new = _floor_spectrum(symmetrize(r_full))
+        Q_new = _floor_spectrum(symmetrize(q_full), _NOISE_FLOOR)
+        R_new = _floor_spectrum(symmetrize(r_full), r_floor)
 
     shift = m0s - theta_old.m0
     P0_new = ensure_spd(P0s + np.outer(shift, shift), "initial covariance P0")
     return StateSpaceParams(A=A_new, H=H_new, Q=Q_new, R=R_new, m0=m0s, P0=P0_new)
 
 
-def _floor_spectrum(m: np.ndarray) -> np.ndarray:
-    floor = min_eig(m)
-    if floor < _NOISE_FLOOR:
-        m = m + (_NOISE_FLOOR - floor) * np.eye(m.shape[0])
+def _floor_spectrum(m: np.ndarray, floor: float) -> np.ndarray:
+    low = min_eig(m)
+    if low < floor:
+        m = m + (floor - low) * np.eye(m.shape[0])
     return m
 
 
@@ -247,11 +251,13 @@ def _em_single(Y_pre: np.ndarray, config: EmConfig, restart_index: int) -> tuple
     if config.n_iters == 0:
         return theta, []
     trace: list[float] = []
+    min_gain = config.rel_tol * Y_pre.size
     for it in range(config.n_iters + 1):  # the last pass only scores the final theta
-        filtered, ll = _forward(Y_pre, theta)
+        filtered = _forward(Y_pre, theta)
+        ll = filtered.loglik
         if trace and ll < trace[-1] - _MONOTONE_SLACK:
             raise NumericalError(f"EM log-likelihood decreased from {trace[-1]:.6f} to {ll:.6f}")
-        converged = bool(trace) and ll - trace[-1] < config.rel_tol * max(1.0, abs(trace[-1]))
+        converged = bool(trace) and ll - trace[-1] < min_gain
         trace.append(ll)
         if converged or it == config.n_iters:
             return theta, trace
@@ -328,7 +334,7 @@ def tasc_infer(
         )
     theta = em.theta
 
-    filtered, _ = _forward(panel.values, theta, missing_target_from=t0)
+    filtered = _forward(panel.values, theta, missing_target_from=t0)
     smoothed = smooth_pass(filtered, theta)
 
     h1 = theta.H[0]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._numeric import psd_sqrt, symmetrize
+from ._numeric import check_integer_fields, psd_sqrt, symmetrize
 from .errors import ConfigError
 from .panel import PanelData, save_csv
 from .ssm import StateSpaceParams, params_to_json
@@ -52,6 +52,7 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer_fields(self, "d_true", "n_units", "t_total", "t0", "seed")
         if not 0 < self.a_q <= self.b_q:
             raise ConfigError("need 0 < a_q <= b_q")
         if not 0 < self.a_r <= self.b_r:

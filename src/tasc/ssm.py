@@ -6,9 +6,10 @@ The model is
     y_t = H x_t + r_t,       r_t ~ N(0, R)
 
 with a d-dimensional latent state and N-dimensional observations.  This
-module provides the forward (Kalman) recursion, a variant that treats the target row of y_t as missing by
-sending its observation-noise variance to infinity, the backward (RTS)
-smoothing recursion, and the innovation log-likelihood.
+module provides the forward (Kalman) pass, which treats the target row of
+y_t as missing from a given column on by sending its observation-noise
+variance to infinity and also returns the innovation log-likelihood, and
+the backward (RTS) smoothing pass.
 
 The forward update never factors the N x N innovation covariance S.  It is
 collapsed to d x d by Woodbury and the matrix determinant lemma (Jungbacker &
@@ -19,37 +20,36 @@ each step then costs O(N d + d^3), plus O(N^2) to whiten the innovation when
 R is a full matrix.  A missing target is the same update conditioned on the
 donor rows ``1:``.
 
-Each step splits into a covariance half (P_pred, its factor, the factor of
-M = I + L' J L, P and log det M), which depends on theta alone, and a mean
-half, which depends on the data.  The forward pass filters each row set
-(all rows before ``missing_target_from``, donors after it) as one segment.
-Within a segment the covariance half runs only until a step's P_pred equals
-an earlier step's bit for bit.  From there every covariance quantity repeats
-with the period between the two, whether the recursion reached its fixed
-point (the steady state of Durbin & Koopman, section 4.3.4) or ends in a
-last-ulp cycle, so later steps reuse the stored entries by phase.  The reuse
-needs no tolerance and gives bitwise the results of recomputing.  The mean
-half is a linear recursion in the state, run as one log-depth scan over the
-segment (Sarkka & Garcia-Fernandez, Temporal parallelization of Bayesian
-smoothers, IEEE TAC 2021); it sums in another order than a per-step loop, so
-means agree with such a loop to rounding, not bitwise.  The smoother gains
-depend on theta alone as well, so the covariance half makes them, one per
-new pair of consecutive entries, in one stacked solve after its loop.
+Each step splits into a covariance half (P_pred, its factor, M = I + L' J L,
+W and P), which depends on theta alone, and a mean half, which depends on the
+data.  The forward pass filters each row set (all rows before
+``missing_target_from``, donors after it) as one segment.  Within a segment
+the covariance half runs only until a step's P_pred equals an earlier step's
+bit for bit.  From there every covariance quantity repeats with the period
+between the two, whether the recursion reached its fixed point (the steady
+state of Durbin & Koopman, section 4.3.4) or ends in a last-ulp cycle, so
+later steps reuse the stored entries by phase.  The reuse needs no tolerance
+and gives bitwise the results of recomputing.  Both segments append their
+entries to one table.  The mean half is a linear recursion in the state, run
+as one log-depth scan over the segment (Sarkka & Garcia-Fernandez, Temporal
+parallelization of Bayesian smoothers, IEEE TAC 2021); it sums in another
+order than a per-step loop, so means agree with such a loop to rounding, not
+bitwise.
 
-M's factors are gated after each segment's covariance loop, and the
-smoother gates every factor of P_pred before it reads a gain, each as one
+The forward pass gates every M of the table after its covariance loops, and
+the smoother gates every factor of P_pred before it forms a gain, each as one
 call of :func:`tasc._numeric.gate_factor_diag` over the stacked factor
 diagonals; that function documents the messages and the step a failure
-names.  The smoother runs the smoothed means as a reverse scan and repeats
-smoothed covariances by phase once their inputs recur.
+names.  The smoother gains depend on theta alone as well, so the smoother
+solves one per distinct pair of consecutive entries.  It runs the smoothed
+means as a reverse scan and repeats smoothed covariances by phase once their
+inputs recur.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
-
 import numpy as np
 
 from ._numeric import (
@@ -72,7 +72,6 @@ __all__ = [
     "SmoothedTrajectory",
     "filter_pass",
     "smooth_pass",
-    "log_likelihood",
     "params_to_json",
     "params_from_json",
 ]
@@ -153,17 +152,14 @@ class StateSpaceParams:
 
 @dataclass(frozen=True)
 class FilteredTrajectory:
-    """Predicted and filtered moments for time indices 1..K as stacked arrays.
+    """Predicted and filtered moments for time indices 1..K, and the innovation log-likelihood.
 
     Row k of ``m_pred`` and ``m`` is time index k+1.  The covariance
     quantities depend on theta alone and repeat once the recursion reaches its
     fixed point or a last-ulp cycle, so each distinct one is stored once (the
     ``*_e`` arrays, E entries) and ``cov[k]`` names the entry of row k.
-    ``P_pred`` and ``P`` expand them to K x d x d.  The smoother gains, which
-    depend on theta alone too, are stored once per distinct pair of
-    consecutive entries (``G_e``) and ``gain[k]`` names the pair of row k:
-    entry ``cov[k]`` after entry ``cov[k - 1]`` (after P0 at k = 0).  Treat
-    the arrays as read-only.
+    ``P_pred`` and ``P`` expand them to K x d x d.  ``loglik`` sums
+    log N(v_k; 0, S_k) over the pass.  Treat the arrays as read-only.
     """
 
     m_pred: np.ndarray  # (K, d)
@@ -175,8 +171,7 @@ class FilteredTrajectory:
     P_e: np.ndarray  # (E, d, d)
     W_e: np.ndarray  # (E, d, d), M^-1 L'
     logdet_M_e: np.ndarray  # (E,)
-    G_e: np.ndarray  # (gains, d, d) smoother gain of each distinct (previous entry, entry) pair
-    gain: np.ndarray  # (K,) gain index of each row
+    loglik: float
 
     def __len__(self) -> int:
         return self.m.shape[0]
@@ -260,83 +255,41 @@ def _observed_rows(theta: StateSpaceParams, target_missing: bool, step: int) -> 
     return _ObservedRows(rows=rows, Hw=Hw, J=J, logdet_R=logdet_R, inv_sd=inv_sd, low_R=low_R)
 
 
-class _Entries(NamedTuple):
-    """The distinct covariance entries of one or more segments, stacked, and their smoother gains."""
-
-    P_pred: np.ndarray  # (E, d, d)
-    L: np.ndarray  # (E, d, d) Cholesky factor of P_pred, or psd_sqrt's root where not chol
-    chol: np.ndarray  # (E,) bool
-    P: np.ndarray  # (E, d, d)
-    W: np.ndarray  # (E, d, d), M^-1 L'
-    M_diag: np.ndarray  # (E, d) diagonal of M's Cholesky factor
-    G: np.ndarray  # (gains, d, d)
-
-
 def _covariance_half(
-    P: np.ndarray, theta: StateSpaceParams, obs: _ObservedRows, n_cols: int, k0: int
-) -> tuple[_Entries, np.ndarray, np.ndarray]:
-    """The distinct covariance entries and gains of the ``n_cols`` steps after time index ``k0``.
+    P: np.ndarray, theta: StateSpaceParams, obs: _ObservedRows, n_cols: int, k0: int, table: list[tuple]
+) -> np.ndarray:
+    """Append the distinct covariance entries of the ``n_cols`` steps after time index ``k0`` to ``table``.
 
     Starts from the filtered covariance P.  Information form: with
     P_pred = L L' and M = I + L' J L (d x d), P = L W and W = M^-1 L'.  The
     loop makes two LAPACK calls per step, the factor of P_pred and the solve
     for W, and stops at the first P_pred equal bitwise to an earlier one of
-    the segment.  Each new pair (previous step's entry, this step's entry) has
-    a smoother gain G = P_prev A' P_pred^-1: a new pair arises at every
-    transient step, the first among them, and at the step where the cycle
-    wraps.  After the loop every M is factored in one stacked call (for the
-    gate and log det M) and every gain solved in another.  Returns the entries,
-    then the entry index and the gain index of each step, filled by phase
-    from the cycle on, both counted from 0.  M's factors are gated even when
-    the loop raises: a failure raises NumericalError at the first failing
-    step, and an error inside the loop is raised only if no earlier step
-    fails the gate.  Call with the "invalid" flag silenced.
+    the segment.  Each new entry is appended as the row (P_pred, L, whether L
+    is P_pred's Cholesky factor, P, W, M, its step).  Returns the table index
+    of each step's entry, filled by phase from the cycle on.  Nothing is gated
+    here: the forward pass gates every M of the table, the smoother every
+    P_pred.  Call with the "invalid" flag silenced.
     """
     # np.dot rather than @: at d x d it skips most of matmul's dispatch cost,
     # and both call the same BLAS routine.
     A, Q, J, dot = theta.A, theta.Q, obs.J, np.dot
     unit = np.eye(theta.d)
-    cov, gain = np.arange(n_cols), np.arange(n_cols)
+    cov = np.arange(len(table), len(table) + n_cols)
     seen: dict[bytes, int] = {}
-    # One row per gain in AP_g, P_pred_g and chol_g: A P_prev, then P_pred and
-    # whether it has a Cholesky factor.  The first rows are the entries'; a
-    # wrap adds a last row whose P_pred equals its entry's bitwise.
-    AP_g, P_pred_g, chol_g, L_e, P_e, W_e, M_e = [], [], [], [], [], [], []
-    try:
-        for j in range(n_cols):
-            AP = dot(A, P)
-            P_pred = symmetrize(dot(AP, A.T) + Q)
-            first = seen.setdefault(P_pred.tobytes(), j)
-            AP_g.append(AP), P_pred_g.append(P_pred)
-            if first != j:
-                phase = np.arange(n_cols - j) % (j - first)
-                cov[j:] = first + phase
-                gain[j:] = np.where(phase == 0, j, first + phase)
-                chol_g.append(chol_g[first])
-                break
-            low_pred = try_cholesky(P_pred)  # no gate here: the smoother gates P_pred
-            L = psd_sqrt(P_pred) if low_pred is None else low_pred
-            M = dot(dot(L.T, J), L)  # unsymmetrized: potrf reads one triangle, and any asymmetry is rounding
-            M += unit
-            W = spd_solve(M, L.T)
-            P = symmetrize(dot(L, W))
-            chol_g.append(low_pred is not None), L_e.append(L), P_e.append(P), W_e.append(W), M_e.append(M)
-    finally:
-        # Whitened by R, S is I + Hw P_pred Hw': its spectrum is M's up to
-        # unit eigenvalues, so M's factor plus a unit diagonal gates S as a
-        # dense factor of S would be gated.  Raised here, a failure replaces
-        # any error of a later step.
-        if M_e:
-            M_diag = cholesky(np.array(M_e)).diagonal(axis1=1, axis2=2)
-            diags = np.hstack([M_diag, np.ones((len(M_e), 1))])
-            gate_factor_diag(diags, _INNOVATION, k0 + 1 + np.arange(len(M_e)))
-    P_pred_g, chol_g, n_e = np.array(P_pred_g), np.array(chol_g), len(M_e)
-    G = spd_solve(P_pred_g, np.array(AP_g)).transpose(0, 2, 1)
-    # NaN where the entry holds no Cholesky factor: the smoother's gate
-    # rejects such an entry before any gain is read.
-    G[~chol_g] = np.nan
-    entries = _Entries(P_pred_g[:n_e], np.array(L_e), chol_g[:n_e], np.array(P_e), np.array(W_e), M_diag, G)
-    return entries, cov, gain
+    for j in range(n_cols):
+        P_pred = symmetrize(dot(dot(A, P), A.T) + Q)
+        first = seen.setdefault(P_pred.tobytes(), j)
+        if first != j:
+            cov[j:] = cov[first + np.arange(n_cols - j) % (j - first)]
+            break
+        low_pred = try_cholesky(P_pred)  # no gate here: the smoother gates P_pred
+        L = psd_sqrt(P_pred) if low_pred is None else low_pred
+        M = dot(dot(L.T, J), L)  # unsymmetrized: potrf reads one triangle, and any asymmetry is rounding
+        M += unit
+        W = spd_solve(M, L.T)
+        P = symmetrize(dot(L, W))
+        table.append((P_pred, L, low_pred is not None, P, W, M, k0 + 1 + j))
+    return cov
 
 
 def _linear_scan(F: np.ndarray, g: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -358,24 +311,30 @@ def _linear_scan(F: np.ndarray, g: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward(
+def filter_pass(
     Y: np.ndarray,
     theta: StateSpaceParams,
     *,
     missing_target_from: int | None = None,
-) -> tuple[FilteredTrajectory, float]:
-    """Forward pass returning the filtered trajectory and the innovation log-likelihood.
+) -> FilteredTrajectory:
+    """Run the forward recursion over the columns of ``Y``.
+
+    ``missing_target_from`` is the 0-based column index from which the target
+    row is treated as missing; earlier columns use the standard update, and
+    at missing-target steps only the donor block contributes to the
+    likelihood.  Returns the K predicted and filtered moments and the
+    innovation log-likelihood as one :class:`FilteredTrajectory`.
 
     Each row set is filtered as one segment: the covariance recursion restarts
-    where the row set changes.  The mean half of a segment is
-    m_k = F_k m_{k-1} + g_k with F = (I - L W J) A and g_k = L W z_k, where
-    z = Hw' yw is the whitened observation projected on the state, run as one
-    scan; F and L W are formed once per covariance entry.  Then
-    m_pred = A m and a = W (z - J m_pred).  By Woodbury and the
-    determinant lemma log det S = log det R + log det M, and v' S^-1 v equals
-    |vw - Hw L a|^2 + |a|^2 for the whitened innovation vw, a sum of squares.
-    At missing-target steps only the donor block contributes to the
-    likelihood.
+    where the row set changes, and both segments append their entries to one
+    table, whose every M is gated in one call even when a later step raises.
+    The mean half of a segment is m_k = F_k m_{k-1} + g_k with
+    F = (I - L W J) A and g_k = L W z_k, where z = Hw' yw is the whitened
+    observation projected on the state, run as one scan; F and L W are formed
+    once per covariance entry.  Then m_pred = A m and a = W (z - J m_pred).
+    By Woodbury and the determinant lemma log det S = log det R + log det M,
+    and v' S^-1 v equals |vw - Hw L a|^2 + |a|^2 for the whitened innovation
+    vw, a sum of squares.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] < 1:
@@ -385,26 +344,33 @@ def _forward(
     k_total = Y.shape[1]
     cut = k_total if missing_target_from is None else min(max(0, missing_target_from), k_total)
 
-    parts: list[_Entries] = []
+    table: list[tuple] = []
     segments = []
-    P, e0, g0 = theta.P0, 0, 0
+    P = theta.P0
     with np.errstate(invalid="ignore"):  # failing factorizations are NaN, judged by the gates
-        for start, stop, missing in ((0, cut, False), (cut, k_total, True)):
-            if start < stop:
-                obs = _observed_rows(theta, missing, step=start + 1)
-                part, cov, gain = _covariance_half(P, theta, obs, stop - start, start)
-                n_e = len(part.P)
-                segments.append((slice(start, stop), obs, cov + e0, gain + g0, slice(e0, e0 + n_e)))
-                parts.append(part)
-                P, e0, g0 = part.P[cov[-1]], e0 + n_e, g0 + len(part.G)
-    entries = _Entries(*(np.concatenate(x) for x in zip(*parts))) if len(parts) > 1 else parts[0]
-    P_pred_e, L_e, chol_e, P_e, W_e, M_diag_e, G_e = entries
+        try:
+            for start, stop, missing in ((0, cut, False), (cut, k_total, True)):
+                if start < stop:
+                    obs = _observed_rows(theta, missing, step=start + 1)
+                    e0 = len(table)
+                    cov = _covariance_half(P, theta, obs, stop - start, start, table)
+                    segments.append((slice(start, stop), obs, cov, slice(e0, len(table))))
+                    P = table[cov[-1]][3]  # the segment's last filtered P starts the next
+        finally:
+            # Whitened by R, S is I + Hw P_pred Hw': its spectrum is M's up to
+            # unit eigenvalues, so M's factor plus a unit diagonal gates S as a
+            # dense factor of S would be gated.  Raised here, a failure replaces
+            # any error of a later step.
+            if table:
+                P_pred_e, L_e, chol_e, P_e, W_e, M_e, steps = (np.array(x) for x in zip(*table))
+                M_diag_e = cholesky(M_e).diagonal(axis1=1, axis2=2)
+                gate_factor_diag(np.hstack([M_diag_e, np.ones((len(table), 1))]), _INNOVATION, steps)
 
     A, LW_e = theta.A, L_e @ W_e
     m_pred, m = np.empty((k_total, theta.d)), np.empty((k_total, theta.d))
     m_last, loglik = theta.m0, 0.0
     logdet_M_e = 2.0 * np.log(M_diag_e).sum(axis=1)
-    for cols, obs, cov, _, own in segments:
+    for cols, obs, cov, own in segments:
         Hw, J = obs.Hw, obs.J
         Yw = obs.whiten(Y[obs.rows, cols])
         Z = Yw.T @ Hw  # row j is z for column j
@@ -420,87 +386,68 @@ def _forward(
             + float(np.vdot(resid, resid) + np.vdot(a, a))
         )
         m_last = m[cols.stop - 1]
-    filtered = FilteredTrajectory(
+    return FilteredTrajectory(
         m_pred=m_pred, m=m, cov=np.concatenate([seg[2] for seg in segments]), P_pred_e=P_pred_e, L_e=L_e,
-        chol_e=chol_e, P_e=P_e, W_e=W_e, logdet_M_e=logdet_M_e,
-        G_e=G_e, gain=np.concatenate([seg[3] for seg in segments]),
+        chol_e=chol_e, P_e=P_e, W_e=W_e, logdet_M_e=logdet_M_e, loglik=loglik,
     )
-    return filtered, loglik
-
-
-def filter_pass(
-    Y: np.ndarray,
-    theta: StateSpaceParams,
-    *,
-    missing_target_from: int | None = None,
-) -> FilteredTrajectory:
-    """Run the forward recursion over the columns of ``Y``.
-
-    ``missing_target_from`` is the 0-based column index from which the target
-    row is treated as missing; earlier columns use the standard update.
-    Returns the K predicted and filtered moments as one
-    :class:`FilteredTrajectory`.
-    """
-    filtered, _ = _forward(Y, theta, missing_target_from=missing_target_from)
-    return filtered
 
 
 def smooth_pass(filtered: FilteredTrajectory, theta: StateSpaceParams) -> SmoothedTrajectory:
     """Backward RTS recursion over a filtered trajectory, including index 0.
 
     Step k (0..K-1) pairs the filtered P_k (P0 at k = 0) with P_pred_{k+1}.
-    The gains G_k = P_k A' P_pred_{k+1}^-1 come from the filter's covariance
-    pass, one per distinct pair of covariance entries.  The factors of P_pred
-    are gated once, together, before any gain is read.  The smoothed means follow
-    m_s_k = G_k m_s_{k+1} + (m_k - G_k m_pred_{k+1}), run as one reverse scan.
-    P_s is a backward loop until a step's inputs (its pair and P_s_{k+1})
-    equal a later step's bitwise; from there P_s repeats with the period
-    between the two for as long as the pairs do, and that stretch is filled
-    at once.  Returns a :class:`SmoothedTrajectory`.
+    The factors of P_pred are gated once, together, before any gain is
+    formed.  The gains G_k = P_k A' P_pred_{k+1}^-1 depend on theta alone, so
+    one is solved per distinct pair of covariance entries, in one stacked
+    call.  The smoothed means follow m_s_k = G_k m_s_{k+1} + (m_k - G_k m_pred_{k+1}),
+    run as one reverse scan.  P_s is a backward loop until a step's inputs
+    (its pair and P_s_{k+1}) equal a later step's bitwise; from there P_s
+    repeats with the period between the two for as long as the pairs do, and
+    that stretch is filled at once.  Returns a :class:`SmoothedTrajectory`.
     """
     k_total = len(filtered)
     if k_total == 0:
         raise ConfigError("smooth_pass needs a nonempty filtered trajectory")
-    cov, gain = filtered.cov, filtered.gain
+    cov, n_e = filtered.cov, len(filtered.P_e)
     # NaN rows where the filter's Cholesky of P_pred failed
     diags = np.where(filtered.chol_e[:, None], filtered.L_e.diagonal(axis1=1, axis2=2), np.nan)
     gate_factor_diag(diags[cov[::-1]], _PREDICTION, np.arange(k_total)[::-1])
-    G = filtered.G_e[gain]
+
+    # Step k's pair code is prev * E + cov[k], with prev = 0 for P0 and e + 1
+    # after entry e.  A boolean table of the (E + 1) E codes lists the used
+    # ones in order, at a third of np.unique's cost.
+    P_prev_e = np.concatenate([theta.P0[None], filtered.P_e])
+    prev = np.concatenate([[0], cov[:-1] + 1])
+    codes = prev * n_e + cov
+    used = np.zeros((n_e + 1) * n_e, dtype=bool)
+    used[codes] = True
+    pair_codes = np.flatnonzero(used)
+    pair = np.searchsorted(pair_codes, codes)
+    pair_prev, pair_cov = np.divmod(pair_codes, n_e)
+    G = spd_solve(filtered.P_pred_e[pair_cov], theta.A @ P_prev_e[pair_prev]).transpose(0, 2, 1)[pair]
 
     m_s = np.empty((k_total + 1, theta.d))
     m_s[k_total] = filtered.m[-1]
     b = np.vstack([theta.m0, filtered.m[:-1]]) - (G @ filtered.m_pred[:, :, None])[:, :, 0]
     m_s[:k_total] = _linear_scan(G[::-1], b[::-1], filtered.m[-1])[::-1]
 
-    P_prev = np.concatenate([theta.P0[None], filtered.P_e[cov[:-1]]])
-    P_pred, G_t = filtered.P_pred_e[cov], G.transpose(0, 2, 1)
+    P_prev, P_pred, G_t = P_prev_e[prev], filtered.P_pred_e[cov], G.transpose(0, 2, 1)
     P_s = np.empty((k_total + 1, theta.d, theta.d))
     P_s[k_total] = filtered.P_e[cov[-1]]
     seen: dict[tuple, int] = {}
     k = k_total - 1
     while k >= 0:
-        later = seen.setdefault((gain[k], P_s[k + 1].tobytes()), k)
+        later = seen.setdefault((pair[k], P_s[k + 1].tobytes()), k)
         if later == k:
             P_s[k] = symmetrize(P_prev[k] + np.dot(np.dot(G[k], P_s[k + 1] - P_pred[k]), G_t[k]))
             k -= 1
             continue
         period = later - k
-        breaks = np.flatnonzero(gain[: k + 1] != gain[period : k + 1 + period])
+        breaks = np.flatnonzero(pair[: k + 1] != pair[period : k + 1 + period])
         start = breaks[-1] + 1 if breaks.size else 0
         P_s[start : k + 1] = P_s[k + 1 + (np.arange(start - k - 1, 0)) % period]
         k = start - 1
     return SmoothedTrajectory(m_s=m_s, P_s=P_s, G=G)
-
-
-def log_likelihood(
-    Y: np.ndarray,
-    theta: StateSpaceParams,
-    *,
-    missing_target_from: int | None = None,
-) -> float:
-    """Innovation log-likelihood: sum of log N(v_k; 0, S_k) over the pass."""
-    _, loglik = _forward(Y, theta, missing_target_from=missing_target_from)
-    return loglik
 
 
 def params_to_json(

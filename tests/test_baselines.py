@@ -209,6 +209,13 @@ class TestRscConfigValidation:
         with pytest.raises(ConfigError, match="cv_grid entries must be finite and >= 0"):
             RscConfig(d=1, cv_grid=(bad, 1.0))
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_non_integer_rank_rejected(self, bad):
+        # rsc_fit would otherwise fail slicing the SVD with an untyped TypeError.
+        with pytest.raises(ConfigError, match=f"^d must be an integer, got {bad!r}$"):
+            RscConfig(d=bad)
+        assert RscConfig(d=np.int64(2)).d == 2
+
 
 class TestRscFit:
     def test_exact_least_squares_when_target_in_row_space(self):

@@ -113,11 +113,10 @@ class TestInfer:
         assert len(doc["rows"]) == 24 - t0
 
     def test_numerical_failure_exits_2(self, tmp_path):
-        # Huge-scale rank-deficient panel drives every EM restart singular.
-        base = 1e8 * np.ones((3, 12))
-        base[1:] *= 1.0
+        # An all-zero pre panel has relative noise floors of 0, which makes R
+        # singular at every EM restart.
         panel = PanelData(
-            base + 1e8 * np.tile(np.arange(12.0), (3, 1)),
+            np.zeros((3, 12)),
             8,
             ("a", "b", "c"),
             tuple(f"t{j}" for j in range(12)),

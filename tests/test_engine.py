@@ -64,7 +64,9 @@ class TestInitParams:
         rng = np.random.default_rng(1)
         Y, _, _ = rank_d_panel(rng, 6, 15, 2)
         theta = init_params(Y, EmConfig(d=2))
-        assert np.allclose(theta.R, 1e-4)
+        # The floor is relative: 1e-4 times the panel's mean square.
+        assert np.array_equal(theta.R, np.full(6, 1e-4 * np.mean(Y**2)))
+        assert not np.isclose(np.mean(Y**2), 1.0)
 
     def test_latent_dimension_boundary(self):
         rng = np.random.default_rng(2)
@@ -305,11 +307,11 @@ class TestEmPre:
             assert rel <= 1e-3
 
     def test_all_restarts_failing_raises_fit_error(self):
-        rng = np.random.default_rng(10)
-        base = rng.standard_normal((1, 12))
-        Y = 1e8 * np.vstack([base, base, base])  # rank-1 at huge scale
-        with pytest.raises(FitError):
-            em_pre(Y, EmConfig(d=1, n_iters=5, n_restarts=2, seed=0))
+        # An all-zero pre panel has relative noise floors of 0, so R is
+        # singular at every restart, whatever the unit of measurement.
+        with pytest.raises(FitError) as err:
+            em_pre(np.zeros((3, 12)), EmConfig(d=1, n_iters=5, n_restarts=2, seed=0))
+        assert [type(c) for c in err.value.causes] == [NumericalError, NumericalError]
 
     def test_nan_input_rejected(self):
         Y = np.ones((3, 6))
@@ -447,6 +449,23 @@ class TestDonorOrder:
         assert np.max(np.abs(again - y_hat)) <= 1e-10 * np.max(np.abs(y_hat))
 
 
+class TestScaleEquivariance:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), k=st.integers(-30, 30), log_c=st.floats(-6.0, 6.0))
+    def test_y_hat_scales_with_the_data(self, seed, k, log_c):
+        # A fixed, small n_iters tests the algorithm, not its convergence.  A
+        # power of two scales every float exactly, so only the order of
+        # operations inside LAPACK can move y_hat; a general factor also
+        # rounds the data.
+        panel = simulate(SimulationConfig(d_true=2, n_units=8, t_total=30, t0=20, seed=seed)).panel
+        config = EmConfig(d=2, n_iters=10, n_restarts=1, seed=seed)
+        y_hat = tasc_infer(panel, config).estimate.y_hat
+        for c, tol in ((2.0**k, 1e-12), (10.0**log_c, 1e-10)):
+            scaled = PanelData(c * panel.values, panel.t0, panel.unit_labels, panel.time_labels)
+            again = tasc_infer(scaled, config).estimate.y_hat
+            assert np.max(np.abs(again - c * y_hat)) <= tol * np.max(np.abs(c * y_hat))
+
+
 class TestTascInferGivenFit:
     """``tasc_infer(..., em=...)``: the counterfactual pass alone, on a given fit."""
 
@@ -546,3 +565,15 @@ class TestEmConfigValidation:
         # NaN compares false with every gain, so it would switch the stop rule off.
         with pytest.raises(ConfigError, match="rel_tol must be finite and >= 0"):
             EmConfig(d=1, rel_tol=float("nan"))
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [({"d": 2.5}, "d"), ({"n_iters": 3.5}, "n_iters"), ({"n_restarts": 2.0}, "n_restarts"),
+         ({"d": True}, "d"), ({"seed": 1.5}, "seed")],
+    )
+    def test_non_integer_field_rejected(self, fields, name):
+        # Without the check these fail deep in numpy as untyped TypeErrors.
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+            EmConfig(**{"d": 2, **fields})
+        config = EmConfig(d=np.int64(2), n_iters=np.int32(3), n_restarts=np.uint8(1), seed=np.int64(4))
+        assert init_params(np.eye(3), config).d == 2

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasc import (
     ConfigError,
@@ -253,6 +255,29 @@ class TestPlaceboFitReuse:
             alone = tasc_infer(pseudo, self.EST.em, em=EmResult(theta=theta, loglik_trace=[]))
             assert np.array_equal(pred.y_hat, alone.estimate.y_hat)
             assert np.array_equal(pred.ci_upper, alone.estimate.ci_upper)
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16))
+    def test_reused_fit_matches_a_refit_at_the_first_donors_seed(self, seed):
+        # Donor order does not move a fit, so each later donor's pass on the
+        # permuted first fit predicts what refitting its pseudo-panel with the
+        # first donor's seed would.
+        from tasc._numeric import derive_seed
+
+        panel = simulate(SimulationConfig(d_true=2, n_units=7, t_total=30, t0=20, seed=seed)).panel
+        estimator = Estimator(method="tasc", em=EmConfig(d=2, n_iters=10, n_restarts=1))
+        suite = placebo_suite(panel, estimator, seed=seed)
+        donors = list(range(1, panel.n_units))
+        for j, entry in zip(donors, suite.entries):
+            assert entry.error is None
+            order = [j] + [i for i in donors if i != j]
+            pseudo = PanelData(
+                panel.values[order], panel.t0, tuple(panel.unit_labels[i] for i in order), panel.time_labels
+            )
+            refit = fit_predict(pseudo, estimator, seed=derive_seed(seed, 1))
+            predicted = np.concatenate([refit.fitted_pre, refit.y_hat])
+            reused = panel.values[j] - entry.gap
+            assert np.max(np.abs(reused - predicted)) <= 1e-10 * np.max(np.abs(predicted))
 
     def test_failed_first_fit_passes_the_fit_to_the_next_donor(self, monkeypatch):
         from tasc._numeric import derive_seed

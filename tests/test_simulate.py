@@ -138,6 +138,7 @@ class TestGenPanel:
             gen_panel(theta, 10, 10, seed=0)
 
 
+
 class TestSnrStats:
     def test_zero_noise(self):
         config = small_r_config(seed=8)
@@ -195,3 +196,15 @@ class TestSimulationConfigValidation:
             small_r_config(d_true=200)
         with pytest.raises(ConfigError):
             small_r_config(t0=100)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [({"d_true": 2.5}, "d_true"), ({"n_units": 12.0}, "n_units"), ({"t0": 50.0}, "t0"),
+         ({"seed": 1.5}, "seed"), ({"d_true": True}, "d_true"), ({"t_total": 80.0}, "t_total")],
+    )
+    def test_non_integer_field_rejected(self, fields, name):
+        base = {"d_true": 2, "n_units": 12, "t_total": 80, "t0": 50}
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+            SimulationConfig(**{**base, **fields})
+        sim = simulate(SimulationConfig(**{k: np.int64(v) for k, v in base.items()}, seed=np.int64(3)))
+        assert sim.panel.values.shape == (12, 80)

@@ -13,14 +13,13 @@ from tasc import (
     StateSpaceParams,
     filter_pass,
     gen_panel,
-    log_likelihood,
     params_from_json,
     params_to_json,
     simulate,
     smooth_pass,
 )
 
-from tasc import _numeric
+from tasc import _numeric, ssm
 from tasc._numeric import write_json
 from tasc.ssm import _params_doc
 
@@ -265,6 +264,35 @@ class TestKalmanStep:
             filter_pass(Y, theta)
         assert err.value.step == 3
 
+    @pytest.mark.parametrize(
+        "H, R, missing_target_from, failing_call",
+        [([[0.0, -1.0]], [1.0], None, 4), ([[0.0, -1.0], [0.0, 0.0]], [1.0, 1.0], 4, 5)],
+        ids=["one_segment", "two_segments"],
+    )
+    def test_condition_failure_wins_over_a_later_loop_error(
+        self, monkeypatch, H, R, missing_target_from, failing_call
+    ):
+        # The theta above fails the condition gate at step 2.  An error raised
+        # by a later step's covariance loop, in the same row-set segment or in
+        # the next one, must give way to that step-2 failure.
+        theta = StateSpaceParams(
+            A=[[0.5, -1.0], [1.0, 1e9]], H=H, Q=np.diag([1e-8, 1e16]),
+            R=R, m0=np.zeros(2), P0=1e-8 * np.eye(2),
+        )
+        calls = []
+        factor = ssm.try_cholesky
+
+        def failing(m):
+            calls.append(None)
+            if len(calls) == failing_call:
+                raise np.linalg.LinAlgError("injected")
+            return factor(m)
+
+        monkeypatch.setattr(ssm, "try_cholesky", failing)
+        with pytest.raises(NumericalError, match=r"^innovation covariance S condition number exceeds 1e\+12$") as err:
+            filter_pass(np.zeros((len(R), 6)), theta, missing_target_from=missing_target_from)
+        assert err.value.step == 2
+
 
 class TestMissingTargetStep:
     def test_equivalent_to_donor_reduced_model(self):
@@ -492,7 +520,7 @@ class TestOracleEquivalence:
         for k in range(k_total):
             assert np.max(np.abs(states.m[k] - fm[k])) <= 1e-8
             assert np.max(np.abs(states.P[k] - fc[k])) <= 1e-8
-        ll = log_likelihood(Y, theta, missing_target_from=cut)
+        ll = filter_pass(Y, theta, missing_target_from=cut).loglik
         ref = observed_log_density(theta, Y, missing_target_from=cut)
         assert abs(ll - ref) <= 1e-9 * max(1.0, abs(ref))
 
@@ -523,7 +551,7 @@ class TestOracleEquivalence:
         for k in range(k_total + 1):
             assert np.max(np.abs(smoothed.m_s[k] - sm[k])) <= 1e-8
             assert np.max(np.abs(smoothed.P_s[k] - sc[k])) <= 1e-8
-        ll = log_likelihood(Y, theta, missing_target_from=cut)
+        ll = filter_pass(Y, theta, missing_target_from=cut).loglik
         ref = observed_log_density(theta, Y, missing_target_from=cut)
         assert abs(ll - ref) <= 1e-9 * max(1.0, abs(ref))
 
@@ -602,7 +630,7 @@ class TestMeanScan:
         # Whitening by an R entry near 1e-6 magnifies the rounding of m in the
         # residuals, for the loop as for the scan, so the loop's own error
         # against the long-double run widens the 1e-12 relative bound.
-        ll = log_likelihood(Y, theta, missing_target_from=cut)
+        ll = filter_pass(Y, theta, missing_target_from=cut).loglik
         assert abs(ll - ll_loop) <= 1e-12 * abs(ll_loop) + 10.0 * float(abs(ll_loop - ll_ref))
 
     @pytest.mark.parametrize("cut", [None, 12], ids=["observed", "missing_from_12"])
@@ -624,13 +652,13 @@ class TestMeanScan:
         ms_loop = smoother_mean_loop(theta, m_loop, smoothed.G)
         assert np.max(np.abs(filtered.m - m_loop)) <= 1e-12 * np.max(np.abs(m_loop))
         assert np.max(np.abs(smoothed.m_s - ms_loop)) <= 1e-12 * np.max(np.abs(ms_loop))
-        assert abs(log_likelihood(Y, theta, missing_target_from=cut) - ll_loop) <= 1e-12 * abs(ll_loop)
+        assert abs(filter_pass(Y, theta, missing_target_from=cut).loglik - ll_loop) <= 1e-12 * abs(ll_loop)
 
 
 class TestLogLikelihood:
     def test_scalar_hand_value(self):
         theta = scalar_theta(A=1.0, H=1.0, Q=0.0, R=1.0, m0=0.0, P0=0.0)
-        ll = log_likelihood(np.array([[0.0]]), theta)
+        ll = filter_pass(np.array([[0.0]]), theta).loglik
         assert np.isclose(ll, -0.5 * np.log(2 * np.pi))
 
     def test_scale_identity_with_zero_innovation(self):
@@ -638,13 +666,13 @@ class TestLogLikelihood:
         # log-likelihood by exactly -0.5 * N * log(c).
         base = dict(A=1.3, H=0.9, Q=0.4, R=0.8, m0=1.1, P0=0.6)
         y = np.array([[0.9 * 1.3 * 1.1]])
-        ll1 = log_likelihood(y, scalar_theta(**base))
+        ll1 = filter_pass(y, scalar_theta(**base)).loglik
         for c in (2.0, 5.0, 17.0):
             scaled = scalar_theta(
                 A=base["A"], H=base["H"], Q=c * base["Q"], R=c * base["R"],
                 m0=base["m0"], P0=c * base["P0"],
             )
-            llc = log_likelihood(y, scaled)
+            llc = filter_pass(y, scaled).loglik
             assert np.isclose(llc, ll1 - 0.5 * np.log(c))
 
     def test_true_model_beats_inflated_noise_on_average(self):
@@ -658,7 +686,7 @@ class TestLogLikelihood:
         for seed in range(100):
             sim = gen_panel(theta, t_total=15, t0=1, seed=seed)
             Y = sim.panel.values
-            diffs.append(log_likelihood(Y, theta) - log_likelihood(Y, doubled))
+            diffs.append(filter_pass(Y, theta).loglik - filter_pass(Y, doubled).loglik)
         assert np.mean(diffs) > 0
 
     def test_missing_target_counts_donors_only(self):
@@ -669,6 +697,6 @@ class TestLogLikelihood:
             A=theta.A, H=theta.H[1:], Q=theta.Q, R=theta.R[1:, 1:],
             m0=theta.m0, P0=theta.P0,
         )
-        ll_missing = log_likelihood(Y, theta, missing_target_from=0)
-        ll_reduced = log_likelihood(Y[1:], reduced)
+        ll_missing = filter_pass(Y, theta, missing_target_from=0).loglik
+        ll_reduced = filter_pass(Y[1:], reduced).loglik
         assert np.isclose(ll_missing, ll_reduced, atol=1e-10)
