@@ -3,14 +3,15 @@
 The harness drives the three estimators (time-aware state-space, simplex SC,
 robust SC) over panels or simulated regimes with fully seeded reproducibility:
 every cell of a sweep derives its own seed from the root seed, so any cell can
-be regenerated independently.
+be regenerated independently.  A harness fit that raises a TascError is recorded
+by its message where it belongs, and the run goes on; other exceptions propagate.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -173,6 +174,17 @@ def fit_predict(panel: PanelData, estimator: Estimator, seed: int | None = None)
     return Prediction(y_hat=y_hat, fitted_pre=fitted, weights=weights)
 
 
+def _attempt(panel: PanelData, estimator: Estimator, seed: int | None) -> tuple[Prediction | None, str | None]:
+    """One harness fit: its prediction, or the message of the TascError that ended it.
+
+    ``fit_predict`` is looked up at call time, so a wrapper set on this module sees it.
+    """
+    try:
+        return fit_predict(panel, estimator, seed), None
+    except TascError as exc:
+        return None, str(exc)
+
+
 @dataclass(frozen=True)
 class PlaceboEntry:
     unit_label: str
@@ -191,8 +203,9 @@ def placebo_suite(panel: PanelData, estimator: Estimator, seed: int = 0) -> Plac
     """Refit with each donor posing as the target, the true target excluded.
 
     Every donor has observed post outcomes, so pre and post errors and the
-    full observed-minus-predicted gap series are recorded per unit.  A failed
-    fit is recorded for its unit without aborting the suite.
+    full observed-minus-predicted gap series are recorded per unit.  A fit
+    that raises a TascError leaves its unit NaN RMSEs, no gap and the error's
+    message, and the suite goes on.
 
     Every pseudo-panel holds the same donor rows in another order, and the
     time-aware model does not depend on which row is the target, so the
@@ -219,12 +232,9 @@ def placebo_suite(panel: PanelData, estimator: Estimator, seed: int = 0) -> Plac
         )
         label = panel.unit_labels[j]
         est = estimator if shared is None else replace(estimator, em_result=_permuted_fit(*shared, order))
-        try:
-            pred = fit_predict(pseudo, est, seed=derive_seed(seed, j))
-        except TascError as exc:
-            entries.append(
-                PlaceboEntry(label, float("nan"), float("nan"), None, error=str(exc))
-            )
+        pred, error = _attempt(pseudo, est, derive_seed(seed, j))
+        if pred is None:
+            entries.append(PlaceboEntry(label, float("nan"), float("nan"), None, error=error))
             continue
         if reuse and shared is None:
             shared = (pred, order)
@@ -311,14 +321,9 @@ def permutation_stress_test(
         perm_pre = rng.permutation(t0)
         perm_post = t0 + rng.permutation(t_total - t0)
         permuted = permute_columns(panel, perm_pre, perm_post)
-        try:
-            pred = fit_predict(permuted, estimator)
-        except TascError as exc:
-            shuffled.append(float("nan"))
-            errors.append(str(exc))
-            continue
-        shuffled.append(rmse(pred.y_hat, permuted.values[0, t0:]))
-        errors.append(None)
+        pred, error = _attempt(permuted, estimator, None)
+        shuffled.append(float("nan") if pred is None else rmse(pred.y_hat, permuted.values[0, t0:]))
+        errors.append(error)
     return StressResult(rmse_ordered=rmse_ordered, rmse_shuffled=shuffled, errors=errors)
 
 
@@ -334,7 +339,6 @@ class EvalReport:
     rmse_pre: float = float("nan")
     rmse_by_bucket: list[tuple[tuple[int, int], float]] = field(default_factory=list)
     ci_width: float | None = None
-    config: dict = field(default_factory=dict)
     error: str | None = None
 
 
@@ -348,8 +352,9 @@ def method_sweep(
 ) -> list[EvalReport]:
     """Run every (regime, estimator, replicate) cell on independently seeded data.
 
-    Each replicate draws one dataset shared by all estimators; per-cell
-    failures are recorded in the report without stopping the sweep.
+    Each replicate draws one dataset shared by all estimators.  A cell whose
+    fit raises a TascError keeps NaN RMSEs, no buckets and no width, records
+    the error's message and does not stop the sweep.
     """
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
@@ -369,38 +374,17 @@ def method_sweep(
             buckets = min(n_buckets, truth_post.size)
             for mi, estimator in enumerate(estimators):
                 cell_seed = derive_seed(seed, ri, rep, mi)
-                echo = {"regime": asdict(replace(regime, seed=data_seed)), "method": estimator.name}
-                try:
-                    pred = fit_predict(panel, estimator, seed=cell_seed)
-                except TascError as exc:
-                    reports.append(
-                        EvalReport(
-                            regime=regime_names[ri],
-                            method=estimator.name,
-                            replicate=rep,
-                            seed=cell_seed,
-                            config=echo,
-                            error=str(exc),
-                        )
-                    )
-                    continue
-                by_bucket = [
-                    ((panel.t0 + lo, panel.t0 + hi), value)
-                    for (lo, hi), value in rmse_by_horizon(pred.y_hat, truth_post, buckets)
-                ]
-                reports.append(
-                    EvalReport(
-                        regime=regime_names[ri],
-                        method=estimator.name,
-                        replicate=rep,
-                        seed=cell_seed,
-                        rmse_post=rmse(pred.y_hat, truth_post),
-                        rmse_pre=rmse(pred.fitted_pre, truth_pre),
-                        rmse_by_bucket=by_bucket,
-                        ci_width=pred.ci_width,
-                        config=echo,
-                    )
+                pred, error = _attempt(panel, estimator, cell_seed)
+                scores = {} if pred is None else dict(
+                    rmse_by_bucket=[
+                        ((panel.t0 + lo, panel.t0 + hi), value)
+                        for (lo, hi), value in rmse_by_horizon(pred.y_hat, truth_post, buckets)
+                    ],
+                    rmse_post=rmse(pred.y_hat, truth_post),
+                    rmse_pre=rmse(pred.fitted_pre, truth_pre),
+                    ci_width=pred.ci_width,
                 )
+                reports.append(EvalReport(regime_names[ri], estimator.name, rep, cell_seed, error=error, **scores))
     return reports
 
 

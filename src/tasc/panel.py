@@ -11,7 +11,6 @@ reads them.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
@@ -126,7 +125,7 @@ def _parse_cell(text: str, row: int, col: int) -> float:
 
 
 def load_csv(
-    source: str | Path | IO[str] | IO[bytes] | bytes,
+    source: str | Path | IO[str],
     t0: int,
     has_header: bool = True,
     target_row: int = 0,
@@ -144,10 +143,7 @@ def load_csv(
         with open(source, "r", newline="") as handle:
             rows = list(csv.reader(handle))
     else:
-        data = source.read() if hasattr(source, "read") else source
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        rows = list(csv.reader(io.StringIO(data)))
+        rows = list(csv.reader(source))
 
     rows = [row for row in rows if row]
     if not rows:

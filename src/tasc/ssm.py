@@ -414,14 +414,14 @@ def smooth_pass(filtered: FilteredTrajectory, theta: StateSpaceParams) -> Smooth
     gate_factor_diag(diags[cov[::-1]], _PREDICTION, np.arange(k_total)[::-1])
 
     # Step k's pair code is prev * E + cov[k], with prev = 0 for P0 and e + 1
-    # after entry e.  A boolean table of the (E + 1) E codes lists the used
-    # ones in order, at a third of np.unique's cost.
+    # after entry e.  The distinct codes, sorted, and a binary search number
+    # the pairs in O(K) memory.  np.unique does the same more slowly, and its
+    # first call imports numpy.ma (1.6 MB resident).
     P_prev_e = np.concatenate([theta.P0[None], filtered.P_e])
     prev = np.concatenate([[0], cov[:-1] + 1])
     codes = prev * n_e + cov
-    used = np.zeros((n_e + 1) * n_e, dtype=bool)
-    used[codes] = True
-    pair_codes = np.flatnonzero(used)
+    ordered = np.sort(codes)
+    pair_codes = ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])]
     pair = np.searchsorted(pair_codes, codes)
     pair_prev, pair_cov = np.divmod(pair_codes, n_e)
     G = spd_solve(filtered.P_pred_e[pair_cov], theta.A @ P_prev_e[pair_prev]).transpose(0, 2, 1)[pair]

@@ -12,6 +12,7 @@ from tasc import (
     PanelData,
     RscConfig,
     SimulationConfig,
+    TascError,
     fit_predict,
     method_sweep,
     permutation_stress_test,
@@ -387,6 +388,65 @@ class TestMethodSweep:
         regimes = [SimulationConfig(d_true=1, n_units=4, t_total=14, t0=8, seed=0)]
         reports = method_sweep(regimes, [SC, SC], replicates=1, seed=1)
         assert reports[0].rmse_post == reports[1].rmse_post
+
+
+_HARNESS_PANEL = simulate(SimulationConfig(d_true=1, n_units=4, t_total=16, t0=10, seed=0)).panel
+
+# Each harness run, the (error, post RMSE) it records per harness fit, and the
+# record that the second fit_predict call fills.  The stress test's first call
+# is the ordered fit, outside the shuffle records.
+_HARNESSES = {
+    "placebo_suite": (
+        lambda: placebo_suite(_HARNESS_PANEL, SC, seed=0),
+        lambda result: [(e.error, e.rmse_post) for e in result.entries],
+        1,
+    ),
+    "permutation_stress_test": (
+        lambda: permutation_stress_test(_HARNESS_PANEL, SC, n_shuffles=3, seed=0),
+        lambda result: list(zip(result.errors, result.rmse_shuffled)),
+        0,
+    ),
+    "method_sweep": (
+        lambda: method_sweep([SimulationConfig(d_true=1, n_units=4, t_total=16, t0=10)], [SC, RSC, SC], 1),
+        lambda reports: [(r.error, r.rmse_post) for r in reports],
+        1,
+    ),
+}
+
+
+def _fail_second_call(monkeypatch, exc):
+    import tasc.evaluate
+
+    original, calls = tasc.evaluate.fit_predict, []
+
+    def failing(panel, estimator, seed=None):
+        calls.append(None)
+        if len(calls) == 2:
+            raise exc
+        return original(panel, estimator, seed)
+
+    monkeypatch.setattr(tasc.evaluate, "fit_predict", failing)
+
+
+class TestHarnessFailureContract:
+    @pytest.mark.parametrize("harness", list(_HARNESSES))
+    def test_a_failed_fit_is_recorded_by_its_message_alone(self, monkeypatch, harness):
+        run, records, failed = _HARNESSES[harness]
+        clean = records(run())
+        _fail_second_call(monkeypatch, TascError("boom"))
+        got = records(run())
+        assert got[failed][0] == "boom" and np.isnan(got[failed][1])
+        assert got[:failed] + got[failed + 1 :] == clean[:failed] + clean[failed + 1 :]
+        assert all(error is None for error, _ in clean)
+
+    @pytest.mark.parametrize("harness", list(_HARNESSES))
+    def test_other_exceptions_propagate(self, monkeypatch, harness):
+        class Stop(Exception):
+            pass
+
+        _fail_second_call(monkeypatch, Stop("not a TascError"))
+        with pytest.raises(Stop):
+            _HARNESSES[harness][0]()
 
 
 class TestReportRows:

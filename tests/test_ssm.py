@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from tasc import (
 
 from tasc import _numeric, ssm
 from tasc._numeric import write_json
-from tasc.ssm import _params_doc
+from tasc.ssm import FilteredTrajectory, _params_doc
 
 from oracles import (
     conditioned_moments,
@@ -266,15 +267,24 @@ class TestKalmanStep:
 
     @pytest.mark.parametrize(
         "H, R, missing_target_from, failing_call",
-        [([[0.0, -1.0]], [1.0], None, 4), ([[0.0, -1.0], [0.0, 0.0]], [1.0, 1.0], 4, 5)],
-        ids=["one_segment", "two_segments"],
+        [
+            ([[0.0, -1.0]], [1.0], None, 4),
+            ([[0.0, -1.0], [0.0, 0.0]], [1.0, 1.0], 4, 6),
+            ([[0.0, 0.0], [0.0, -1.0]], [1.0, 1.0], 1, 4),
+        ],
+        ids=["one_segment", "two_segments", "failure_in_second_segment"],
     )
     def test_condition_failure_wins_over_a_later_loop_error(
         self, monkeypatch, H, R, missing_target_from, failing_call
     ):
         # The theta above fails the condition gate at step 2.  An error raised
         # by a later step's covariance loop, in the same row-set segment or in
-        # the next one, must give way to that step-2 failure.
+        # the next one, must give way to that step-2 failure.  The sixth call is
+        # step 6, after segment 2 has appended step 5's entry.  In the last
+        # case only the donor row informs the state, step 1 is segment 1, and
+        # the failing step 2 and the error at step 4 both lie in segment 2: the
+        # gate must take each entry's step from the table, since the raising
+        # segment never completes.
         theta = StateSpaceParams(
             A=[[0.5, -1.0], [1.0, 1e9]], H=H, Q=np.diag([1e-8, 1e16]),
             R=R, m0=np.zeros(2), P0=1e-8 * np.eye(2),
@@ -396,6 +406,28 @@ class TestRtsStep:
         with pytest.raises(NumericalError, match="^one-step prediction covariance is not positive definite$") as err:
             smooth_pass(filt, theta)
         assert err.value.step == 2
+
+    def test_memory_stays_linear_in_distinct_covariance_entries(self):
+        # K = E = 4000 steps that never repeat an entry (d = 1): numbering the
+        # pairs through a table of all (E + 1) E codes would hold 16 MB.
+        k_total = 4000
+        theta = StateSpaceParams(A=[[0.9]], H=[[1.0]], Q=[[1.0]], R=[1.0], m0=[0.0], P0=[[1.0]])
+        P_pred = (1.0 + np.arange(k_total) / k_total)[:, None, None]
+        P = 0.5 * P_pred
+        filt = FilteredTrajectory(
+            m_pred=np.zeros((k_total, 1)), m=np.zeros((k_total, 1)), cov=np.arange(k_total),
+            P_pred_e=P_pred, L_e=np.sqrt(P_pred), chol_e=np.ones(k_total, dtype=bool), P_e=P,
+            W_e=P / np.sqrt(P_pred), logdet_M_e=np.zeros(k_total), loglik=0.0,
+        )
+        tracemalloc.start()
+        try:
+            smoothed = smooth_pass(filt, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        P_prev = np.concatenate([[1.0], P[:-1, 0, 0]])  # P0, then the filtered P_k
+        assert np.allclose(smoothed.G[:, 0, 0], 0.9 * P_prev / P_pred[:, 0, 0])
 
 
 class TestFilterPass:
