@@ -329,7 +329,12 @@ def permutation_stress_test(
 
 @dataclass(frozen=True)
 class EvalReport:
-    """One sweep cell: a (regime, method, replicate) evaluation."""
+    """One sweep cell: a (regime, method, replicate) evaluation.
+
+    ``coverage`` is the fraction of post periods whose true target lies in
+    ``[ci_lower, ci_upper]``; like ``ci_width`` it is None for methods
+    without an interval (sc, rsc) and for a failed fit.
+    """
 
     regime: str
     method: str
@@ -339,6 +344,7 @@ class EvalReport:
     rmse_pre: float = float("nan")
     rmse_by_bucket: list[tuple[tuple[int, int], float]] = field(default_factory=list)
     ci_width: float | None = None
+    coverage: float | None = None
     error: str | None = None
 
 
@@ -383,6 +389,9 @@ def method_sweep(
                     rmse_post=rmse(pred.y_hat, truth_post),
                     rmse_pre=rmse(pred.fitted_pre, truth_pre),
                     ci_width=pred.ci_width,
+                    coverage=None if pred.ci_lower is None else float(
+                        np.mean((pred.ci_lower <= truth_post) & (truth_post <= pred.ci_upper))
+                    ),
                 )
                 reports.append(EvalReport(regime_names[ri], estimator.name, rep, cell_seed, error=error, **scores))
     return reports
@@ -400,6 +409,8 @@ def reports_to_rows(reports: Sequence[EvalReport]) -> list[dict]:
         rows.append({**base, "metric": "rmse_pre", "value": rep.rmse_pre})
         if rep.ci_width is not None:
             rows.append({**base, "metric": "ci_width", "value": rep.ci_width})
+        if rep.coverage is not None:
+            rows.append({**base, "metric": "coverage", "value": rep.coverage})
         for (lo, hi), value in rep.rmse_by_bucket:
             rows.append({**base, "metric": f"rmse_post[{lo}:{hi}]", "value": value})
     return rows
@@ -426,6 +437,6 @@ def write_rows_csv(
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # float subclasses, np.float64 among them, print as the plain float
+        return repr(float(value))
     return str(value)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -212,18 +213,31 @@ def load_csv(
     return PanelData(values, t0, tuple(unit_labels), time_labels, target_post_missing)
 
 
-def save_csv(panel: PanelData, dest: str | Path | IO[str]) -> None:
-    """Write a panel as CSV with unit/time labels; NaN cells become empty.
+class _Echo:
+    """Write target whose ``write`` returns its text, so ``csv.writer(...).writerow`` returns the line."""
 
-    Values are printed with shortest round-trip precision, so reading the file
-    back reproduces them exactly.
+    def write(self, text: str) -> str:
+        return text
+
+
+def save_csv(panel: PanelData, dest: str | Path | IO[str]) -> None:
+    """Write a panel as CSV with unit/time labels.
+
+    Values use the shortest round-trip ``repr``, so reading the file back
+    reproduces them exactly.  Every non-finite cell (NaN, +inf, -inf) is
+    written empty; ``PanelData`` allows such cells only in the target's post
+    columns, and ``load_csv`` reads them back as missing.  Labels use csv's
+    minimal quoting.
     """
+    line = csv.writer(_Echo(), lineterminator="\n").writerow
     with open_for_write(dest) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["unit"] + list(panel.time_labels))
+        handle.write(line(["unit", *panel.time_labels]))
         for label, row in zip(panel.unit_labels, panel.values):
-            cells = ["" if not np.isfinite(v) else repr(float(v)) for v in row]
-            writer.writerow([label] + cells)
+            # A repr'd finite float never needs quoting, so only the label goes
+            # through csv.  [label, ""] gives "label," quoted as in a full row;
+            # [label] alone would write an empty label as "".
+            cells = ",".join([repr(v) if isfinite(v) else "" for v in row.tolist()])
+            handle.write(line([label, ""])[:-1] + cells + "\n")
 
 
 def panel_metadata(panel: PanelData) -> dict:

@@ -8,12 +8,17 @@ simplex KKT check, which certifies a solution for any number of donors.  The
 plain per-step recursions are the exception: they are the loops that the
 filter's and smoother's scans, the smoother's covariance pass and the
 moment GEMMs replace, kept as their reference, and so is the conditioning
-rule as a squared ratio.
+rule as a squared ratio.  The per-cell panel CSV writer is kept the same way,
+as the reference for the bytes of ``save_csv``.
 """
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
+
+from tasc._numeric import open_for_write
 
 
 def joint_gaussian(theta, k_total):
@@ -365,3 +370,13 @@ def factor_diag_ok(diags):
     lo, hi = diags.min(axis=1), diags.max(axis=1)
     with np.errstate(all="ignore"):
         return np.isfinite(lo) & np.isfinite(hi) & ((hi / lo) ** 2 <= 1e12)
+
+
+def save_csv_reference(panel, dest):
+    """The per-cell panel writer: every cell through numpy's isfinite, float(), repr and csv quoting."""
+    with open_for_write(dest) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["unit"] + list(panel.time_labels))
+        for label, row in zip(panel.unit_labels, panel.values):
+            cells = ["" if not np.isfinite(v) else repr(float(v)) for v in row]
+            writer.writerow([label] + cells)

@@ -389,6 +389,23 @@ class TestMethodSweep:
         reports = method_sweep(regimes, [SC, SC], replicates=1, seed=1)
         assert reports[0].rmse_post == reports[1].rmse_post
 
+    def test_interval_coverage_of_tasc_cells(self):
+        from tasc._numeric import derive_seed
+
+        regimes = [SimulationConfig(d_true=2, n_units=5, t_total=24, t0=16, seed=0)]
+        reports = method_sweep(regimes, [TASC, SC, RSC], replicates=2, seed=5)
+        for rep, report in enumerate(reports[::3]):
+            assert report.error is None
+            panel = simulate(SimulationConfig(d_true=2, n_units=5, t_total=24, t0=16, seed=derive_seed(5, 0, rep))).panel
+            pred = fit_predict(panel, TASC, report.seed)
+            truth = panel.values[0, panel.t0 :]
+            inside = [lo <= y <= hi for lo, y, hi in zip(pred.ci_lower, truth, pred.ci_upper)]
+            assert report.coverage == sum(inside) / len(inside)
+        assert all(r.coverage is None and r.ci_width is None for r in reports if r.method != "tasc")
+        rows = reports_to_rows(reports)
+        assert [r["method"] for r in rows if r["metric"] == "coverage"] == ["tasc", "tasc"]
+        assert [r["value"] for r in rows if r["metric"] == "coverage"] == [reports[0].coverage, reports[3].coverage]
+
 
 _HARNESS_PANEL = simulate(SimulationConfig(d_true=1, n_units=4, t_total=16, t0=10, seed=0)).panel
 
@@ -470,3 +487,8 @@ class TestReportRows:
         write_rows_csv(rows, path, meta={"seed": 4})
         assert path.read_bytes() == buf.getvalue().encode()
         assert buf.getvalue() == '# {"seed": 4}\na,b\n1,0.1\n2,\n'
+
+    def test_numpy_floats_print_as_plain_floats(self):
+        buf = io.StringIO()
+        write_rows_csv([{"a": np.float64(1.5), "b": np.float64(-0.0), "c": np.float32(0.1), "d": 0.1}], buf)
+        assert buf.getvalue() == "a,b,c,d\n1.5,-0.0,0.1,0.1\n"

@@ -2,11 +2,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import save_csv_reference
 from tasc import (
     ConfigError,
     PanelData,
     ParseError,
+    SimulationConfig,
     load_csv,
     load_metadata,
     mean_center,
@@ -14,6 +18,8 @@ from tasc import (
     permute_columns,
     save_csv,
     save_metadata,
+    save_simulation,
+    simulate,
     split,
 )
 
@@ -213,6 +219,68 @@ class TestSaveCsvRoundTrip:
             load_metadata("[3, 4, 2]")
         with pytest.raises(ConfigError, match="^sidecar metadata is missing key 't_total'$"):
             load_metadata('{"n_units": 3, "t0": 2, "target_label": "u0"}')
+
+
+# Labels that csv must quote (delimiter, quote, line breaks), spaces, non-ASCII
+# and the empty label; "t,3" and the like come from the same alphabet.
+_LABELS = st.text(alphabet='at3 ,"\n\r\u00e9\u2713', max_size=5)
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-7]),
+    st.integers(-(10**17), 10**17).map(float),
+)
+
+
+def _text(write, panel):
+    buf = io.StringIO()
+    write(panel, buf)
+    return buf.getvalue()
+
+
+class TestSaveCsvBytes:
+    """save_csv writes exactly the bytes of the per-cell reference writer."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_text_matches_reference_writer(self, tmp_path_factory, data):
+        n = data.draw(st.integers(2, 4), label="N")
+        t = data.draw(st.integers(2, 5), label="T")
+        t0 = data.draw(st.integers(1, t - 1), label="t0")
+        values = np.array(data.draw(st.lists(_FINITE, min_size=n * t, max_size=n * t), label="values")).reshape(n, t)
+        missing = data.draw(st.booleans(), label="target_post_missing")
+        if missing:
+            post = st.one_of(_FINITE, st.sampled_from([np.nan, np.inf, -np.inf]))
+            values[0, t0:] = data.draw(st.lists(post, min_size=t - t0, max_size=t - t0), label="target post")
+        panel = PanelData(
+            values,
+            t0,
+            tuple(data.draw(st.lists(_LABELS, min_size=n, max_size=n), label="unit labels")),
+            tuple(data.draw(st.lists(_LABELS, min_size=t, max_size=t), label="time labels")),
+            target_post_missing=missing,
+        )
+        assert _text(save_csv, panel) == _text(save_csv_reference, panel)
+        got, ref = tmp_path_factory.getbasetemp() / "bytes_got.csv", tmp_path_factory.getbasetemp() / "bytes_ref.csv"
+        save_csv(panel, got)
+        save_csv_reference(panel, ref)
+        assert got.read_bytes() == ref.read_bytes()
+
+    def test_every_non_finite_cell_is_empty(self):
+        values = np.array([[1.0, 2.0, np.inf, -np.inf, np.nan], [-0.0, 5e-324, 1e16, 0.5, 3.0]])
+        panel = PanelData(values, 2, ("a,b", 'say "x"'), ("t0", "t,3", "", "t\n", "\u00e9"), target_post_missing=True)
+        text = _text(save_csv, panel)
+        assert text == (
+            'unit,t0,"t,3",,"t\n",\u00e9\n"a,b",1.0,2.0,,,\n"say ""x""",-0.0,5e-324,1e+16,0.5,3.0\n'
+        )
+        back = load_csv(io.StringIO(text), t0=2)
+        assert back.target_post_missing and np.isnan(back.values[0, 2:]).all()
+
+    def test_simulation_files_match_reference_writer(self, tmp_path):
+        sim = simulate(SimulationConfig(d_true=2, n_units=5, t_total=12, t0=8, seed=4))
+        paths = save_simulation(sim, tmp_path)
+        ref = tmp_path / "ref.csv"
+        for key, panel in (("panel", sim.panel), ("signal", sim.panel.with_values(sim.signal))):
+            save_csv_reference(panel, ref)
+            assert paths[key].read_bytes() == ref.read_bytes()
 
 
 class TestMeanCenter:
