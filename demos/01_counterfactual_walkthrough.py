@@ -31,8 +31,9 @@ result = tasc_infer(panel, EmConfig(d=3, n_iters=100, n_restarts=3, seed=0), lev
 est = result.estimate
 
 print(f"panel: {panel.n_units} units x {panel.n_periods} periods, t0={panel.t0}")
-print(f"EM iterations used: {len(result.loglik_trace) - 1}, "
-      f"final log-likelihood {result.loglik_trace[-1]:.2f}")
+print(f"EM iterations used: {len(result.em.loglik_trace) - 1}, "
+      f"final log-likelihood {result.em.loglik_trace[-1]:.2f}, "
+      f"winning restart {result.em.restart_index}")
 print(f"post-intervention RMSE vs held-out truth: {rmse(est.y_hat, truth_post):.4f}")
 print(f"mean 95% interval width: {confidence_width(est):.4f}")
 

@@ -42,7 +42,7 @@ print(f"rank-2 thresholding keeps "
 
 fit = rsc_fit(panel, RscConfig(d=2, cv_grid=DEFAULT_CV_GRID))
 rsc_path = sc_predict(fit.weights, fit.denoised[:, panel.t0 :])
-print(f"\nRSC cross-validated ridge coefficient: {fit.lambda_:g}")
+print(f"\nRSC cross-validated ridge coefficient: {fit.weights.lambda_:g}")
 print(f"RSC post RMSE: {rmse(rsc_path, truth_post):.4f}")
 
 print("\nserialized ridge weights:")

@@ -31,17 +31,17 @@ target_pre_rmse = rmse(target_pred.fitted_pre, panel.values[0, : panel.t0])
 target_post_rmse = rmse(target_pred.y_hat, panel.values[0, panel.t0 :])
 print(f"target pre-fit RMSE {target_pre_rmse:.4f}, post RMSE {target_post_rmse:.4f}")
 
-result = placebo_suite(panel, estimator, seed=0)
+entries = placebo_suite(panel, estimator, seed=0)
 print("\nplacebo results (donor as pseudo-target):")
 print(f"{'unit':8s} {'rmse_pre':>9s} {'rmse_post':>9s}")
-for entry in result.entries:
+for entry in entries:
     print(f"{entry.unit_label:8s} {entry.rmse_pre:9.4f} {entry.rmse_post:9.4f}")
 
-placebo_post = [e.rmse_post for e in result.entries if e.error is None]
+placebo_post = [e.rmse_post for e in entries if e.error is None]
 rank = np.mean([p <= target_post_rmse for p in placebo_post])
 print(f"\nshare of placebo units fitting better than the target post: {rank:.0%}")
 
 target_pre_mse = target_pre_rmse**2
 for ratio in (10.0, 5.0, 2.0):
-    kept = threshold_filter(result, target_pre_mse, ratio)
-    print(f"threshold {ratio:>4g}x target pre-MSE keeps {len(kept):2d}/{len(result.entries)} units")
+    kept = threshold_filter(entries, target_pre_mse, ratio)
+    print(f"threshold {ratio:>4g}x target pre-MSE keeps {len(kept):2d}/{len(entries)} units")

@@ -1,4 +1,4 @@
-"""File-based workflow: CSV panels, sidecar metadata and the command line.
+"""File-based workflow: CSV panels and the command line.
 
 Writes a simulated panel to CSV, runs the `tasc` CLI against it in-process,
 and reads the machine-readable outputs back.
@@ -8,7 +8,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from tasc import SimulationConfig, load_csv, save_csv, save_metadata, simulate
+from tasc import SimulationConfig, load_csv, save_csv, simulate
 from tasc.cli import main
 
 with tempfile.TemporaryDirectory(prefix="tasc-demo-") as tmp:
@@ -19,7 +19,6 @@ with tempfile.TemporaryDirectory(prefix="tasc-demo-") as tmp:
     ))
     panel_path = workdir / "panel.csv"
     save_csv(sim.panel, panel_path)
-    save_metadata(sim.panel, workdir / "panel.meta.json")
     print(f"wrote {panel_path}")
 
     back = load_csv(panel_path, t0=36)

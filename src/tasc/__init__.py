@@ -25,12 +25,9 @@ from .errors import (
 from .panel import (
     PanelData,
     load_csv,
-    load_metadata,
     mean_center,
-    panel_metadata,
     permute_columns,
     save_csv,
-    save_metadata,
     split,
 )
 from .ssm import (

@@ -93,7 +93,6 @@ class RscConfig:
 class RscFit:
     weights: DonorWeights
     denoised: np.ndarray
-    lambda_: float
     cv_errors: dict[float, float] | None = None
 
 
@@ -255,7 +254,7 @@ def rsc_fit(panel: PanelData, config: RscConfig) -> RscFit:
     if np.isnan(f).any():
         raise SolverError("ridge normal matrix is singular; use lambda > 0")
     weights = DonorWeights(f=f, kind="ridge", lambda_=float(lam), d=config.d)
-    return RscFit(weights=weights, denoised=denoised, lambda_=float(lam), cv_errors=cv_errors)
+    return RscFit(weights=weights, denoised=denoised, cv_errors=cv_errors)
 
 
 def weights_to_json(weights: DonorWeights, dest: str | Path | None = None) -> str:

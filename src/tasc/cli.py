@@ -235,7 +235,7 @@ def cmd_placebo(args, argv: list[str]) -> int:
     if not valid:  # checked before the suite runs or any file is written
         raise ConfigError(f"--ratio must be comma-separated finite numbers > 0, got {args.ratio!r}")
 
-    result = placebo_suite(panel, estimator, seed=seed)
+    entries = placebo_suite(panel, estimator, seed=seed)
     target_pred = fit_predict(panel, estimator, seed=seed)
     target_pre_rmse = rmse(target_pred.fitted_pre, panel.values[0, : panel.t0])
     target_pre_mse = target_pre_rmse**2
@@ -250,7 +250,7 @@ def cmd_placebo(args, argv: list[str]) -> int:
             else float("nan"),
             "error": entry.error or "",
         }
-        for entry in result.entries
+        for entry in entries
     ]
     out = _write_table(
         rows, ["unit", "rmse_pre", "rmse_post", "mse_ratio_to_target", "error"], args.output, args.format, meta
@@ -259,7 +259,7 @@ def cmd_placebo(args, argv: list[str]) -> int:
     gaps = [] if panel.target_post_missing else [
         (panel.unit_labels[0], panel.values[0] - np.concatenate([target_pred.fitted_pre, target_pred.y_hat]))
     ]
-    gaps += [(entry.unit_label, entry.gap) for entry in result.entries if entry.gap is not None]
+    gaps += [(entry.unit_label, entry.gap) for entry in entries if entry.gap is not None]
     gap_rows = [
         {"unit": unit, "t": t, "time_label": label, "gap": float(gap[t])}
         for unit, gap in gaps
@@ -267,7 +267,7 @@ def cmd_placebo(args, argv: list[str]) -> int:
     ]
     write_rows_csv(gap_rows, str(out) + ".gaps.csv", fieldnames=["unit", "t", "time_label", "gap"], meta=meta)
 
-    retained = {repr(ratio): threshold_filter(result, target_pre_mse, ratio) for ratio in ratios}
+    retained = {repr(ratio): threshold_filter(entries, target_pre_mse, ratio) for ratio in ratios}
     retained_doc = {"meta": meta, "target_pre_mse": target_pre_mse, "retained": retained}
     write_json(retained_doc, str(out) + ".retained.json")
     return 0

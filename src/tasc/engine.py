@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -124,6 +124,8 @@ class CounterfactualEstimate:
 
 @dataclass(frozen=True)
 class EmResult:
+    """The winning EM restart: its parameters, its log-likelihood trace and its index."""
+
     theta: StateSpaceParams
     loglik_trace: list[float]
     restart_index: int = 0
@@ -131,9 +133,10 @@ class EmResult:
 
 @dataclass(frozen=True)
 class TascResult:
-    theta: StateSpaceParams
+    """The EM fit :func:`tasc_infer` used and the counterfactual it inferred with it."""
+
+    em: EmResult
     estimate: CounterfactualEstimate
-    loglik_trace: list[float] = field(default_factory=list)
 
 
 def init_params(Y_pre: np.ndarray, config: EmConfig, restart_index: int = 0) -> StateSpaceParams:
@@ -355,7 +358,7 @@ def tasc_infer(
         fitted_pre=fitted_pre,
         level=level,
     )
-    return TascResult(theta=theta, estimate=estimate, loglik_trace=em.loglik_trace)
+    return TascResult(em=em, estimate=estimate)
 
 
 def confidence_width(est: CounterfactualEstimate) -> float:

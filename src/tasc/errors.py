@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["TascError", "ParseError", "ConfigError", "NumericalError", "FitError", "SolverError"]
+
 
 class TascError(Exception):
     """Base class for all errors raised by this package."""

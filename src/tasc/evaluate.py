@@ -30,7 +30,6 @@ __all__ = [
     "Prediction",
     "EvalReport",
     "PlaceboEntry",
-    "PlaceboResult",
     "StressResult",
     "rmse",
     "rmse_by_horizon",
@@ -131,12 +130,7 @@ def fit_predict(panel: PanelData, estimator: Estimator, seed: int | None = None)
     ``seed`` overrides the EM seed for the time-aware method; the baselines
     are deterministic and ignore it.
     """
-    offset = None
-    work = panel
-    if estimator.center:
-        centered = mean_center(panel)
-        work = centered.panel
-        offset = centered.mean_trajectory
+    work, offset = mean_center(panel) if estimator.center else (panel, None)
 
     if estimator.method == "tasc":
         config = estimator.em
@@ -156,8 +150,8 @@ def fit_predict(panel: PanelData, estimator: Estimator, seed: int | None = None)
             ci_lower=lo,
             ci_upper=hi,
             ci_width=confidence_width(est),
-            theta=result.theta,
-            loglik_trace=result.loglik_trace,
+            theta=result.em.theta,
+            loglik_trace=result.em.loglik_trace,
         )
 
     if estimator.method == "sc":
@@ -194,18 +188,13 @@ class PlaceboEntry:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class PlaceboResult:
-    entries: list[PlaceboEntry]
-
-
-def placebo_suite(panel: PanelData, estimator: Estimator, seed: int = 0) -> PlaceboResult:
+def placebo_suite(panel: PanelData, estimator: Estimator, seed: int = 0) -> list[PlaceboEntry]:
     """Refit with each donor posing as the target, the true target excluded.
 
     Every donor has observed post outcomes, so pre and post errors and the
-    full observed-minus-predicted gap series are recorded per unit.  A fit
-    that raises a TascError leaves its unit NaN RMSEs, no gap and the error's
-    message, and the suite goes on.
+    full observed-minus-predicted gap series are recorded in one entry per
+    donor, in row order.  A fit that raises a TascError leaves its unit NaN
+    RMSEs, no gap and the error's message, and the suite goes on.
 
     Every pseudo-panel holds the same donor rows in another order, and the
     time-aware model does not depend on which row is the target, so the
@@ -248,7 +237,7 @@ def placebo_suite(panel: PanelData, estimator: Estimator, seed: int = 0) -> Plac
                 gap=observed - predicted,
             )
         )
-    return PlaceboResult(entries=entries)
+    return entries
 
 
 def _permuted_fit(pred: Prediction, fit_order: list[int], order: list[int]) -> EmResult:
@@ -264,12 +253,12 @@ def _permuted_fit(pred: Prediction, fit_order: list[int], order: list[int]) -> E
     return EmResult(theta=theta, loglik_trace=pred.loglik_trace)
 
 
-def threshold_filter(placebo: PlaceboResult, target_pre_mse: float, ratio: float) -> list[str]:
+def threshold_filter(placebo: list[PlaceboEntry], target_pre_mse: float, ratio: float) -> list[str]:
     """Units whose pre-intervention MSE is at most ``ratio`` times the target's."""
     if not ratio > 0:
         raise ConfigError("ratio must be positive")
     kept = []
-    for entry in placebo.entries:
+    for entry in placebo:
         if entry.error is not None:
             continue
         if entry.rmse_pre**2 <= ratio * target_pre_mse:
@@ -364,6 +353,8 @@ def method_sweep(
     """
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
+    if n_buckets < 1:  # checked here too, so no cell is fitted with a value rmse_by_horizon rejects
+        raise ConfigError("n_buckets must be >= 1")
     if regime_names is None:
         regime_names = [f"regime{i}" for i in range(len(regimes))]
     if len(regime_names) != len(regimes):

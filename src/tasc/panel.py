@@ -18,20 +18,16 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from ._numeric import open_for_write, read_json_object, write_json
+from ._numeric import open_for_write
 from .errors import ConfigError, ParseError
 
 __all__ = [
     "PanelData",
-    "CenteredPanel",
     "load_csv",
     "save_csv",
     "mean_center",
     "split",
     "permute_columns",
-    "panel_metadata",
-    "save_metadata",
-    "load_metadata",
 ]
 
 
@@ -103,14 +99,6 @@ class PanelData:
         return PanelData(values, self.t0, self.unit_labels, self.time_labels, flag)
 
 
-@dataclass(frozen=True)
-class CenteredPanel:
-    """A panel with a per-period mean trajectory subtracted from every row."""
-
-    panel: PanelData
-    mean_trajectory: np.ndarray
-
-
 def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(count))
 
@@ -138,27 +126,31 @@ def load_csv(
     is a bare numeric matrix and labels are generated.  ``target_row`` is the
     0-based position of the target among the data rows; it is moved to row 0.
     Empty cells are allowed only in the target's post-intervention columns and
-    set ``target_post_missing``.
+    set ``target_post_missing``.  Input that does not decode as text, has no
+    data rows or whose header does not match the rows raises ParseError.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", newline="") as handle:
-            rows = list(csv.reader(handle))
-    else:
-        rows = list(csv.reader(source))
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, "r", newline="") as handle:
+                rows = list(csv.reader(handle))
+        else:
+            rows = list(csv.reader(source))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"CSV input is not valid text: {exc}") from None
 
     rows = [row for row in rows if row]
-    if not rows:
-        raise ParseError("empty CSV input", row=0)
-
     time_labels: tuple[str, ...] | None = None
-    if has_header:
-        header = rows.pop(0)
-        time_labels = tuple(label.strip() for label in header[1:])
+    if has_header and rows:
+        time_labels = tuple(label.strip() for label in rows.pop(0)[1:])
+    if not rows:
+        raise ParseError("CSV input has no data rows", row=0)
 
     width = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ParseError(f"ragged row: expected {width} cells, found {len(row)}", row=i)
+    if time_labels is not None and len(time_labels) != width - 1:
+        raise ParseError(f"header row has {len(time_labels)} time labels for {width - 1} value columns")
 
     unit_labels: list[str] = []
     numeric_rows: list[list[str]] = []
@@ -240,28 +232,10 @@ def save_csv(panel: PanelData, dest: str | Path | IO[str]) -> None:
             handle.write(line([label, ""])[:-1] + cells + "\n")
 
 
-def panel_metadata(panel: PanelData) -> dict:
-    """JSON-ready sidecar metadata for a panel stored as a bare numeric CSV."""
-    return {
-        "n_units": panel.n_units,
-        "t_total": panel.n_periods,
-        "t0": panel.t0,
-        "target_label": panel.unit_labels[0],
-    }
-
-
-def save_metadata(panel: PanelData, dest: str | Path) -> None:
-    write_json(panel_metadata(panel), dest)
-
-
-def load_metadata(source: str | Path) -> dict:
-    return read_json_object(source, ("n_units", "t_total", "t0", "target_label"), "sidecar metadata")
-
-
-def mean_center(panel: PanelData) -> CenteredPanel:
-    """Subtract the per-period mean of the donor rows from every row."""
+def mean_center(panel: PanelData) -> tuple[PanelData, np.ndarray]:
+    """Subtract the per-period mean of the donor rows from every row; return the panel and that mean."""
     mean = panel.values[1:].mean(axis=0)
-    return CenteredPanel(panel=panel.with_values(panel.values - mean), mean_trajectory=mean)
+    return panel.with_values(panel.values - mean), mean
 
 
 def split(panel: PanelData) -> tuple[np.ndarray, np.ndarray]:

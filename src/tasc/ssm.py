@@ -201,62 +201,42 @@ class SmoothedTrajectory:
         return self.m_s.shape[0]
 
 
-@dataclass(frozen=True)
-class _ObservedRows:
-    """The observation rows one update conditions on, prepared once per theta.
-
-    Observations are whitened by R's Cholesky factor C (R = C C'), so that
-    for an innovation v the update needs only ``Hw = C^-1 H`` and
-    ``J = H' R^-1 H = Hw' Hw``.  Under ``diag_noise`` C is the square root of
-    the vector R and whitening is an elementwise product.
-    """
-
-    rows: slice
-    Hw: np.ndarray  # C^-1 H[rows]
-    J: np.ndarray  # Hw' Hw, d x d
-    logdet_R: float
-    inv_sd: np.ndarray | None  # 1 / sqrt(R[rows]) under diag_noise
-    low_R: np.ndarray | None  # C otherwise
-
-    def whiten(self, v: np.ndarray) -> np.ndarray:
-        """Whiten the columns of ``v``, one observation per column."""
-        if self.inv_sd is not None:
-            return self.inv_sd[:, None] * v
-        return spd_solve(self.low_R, v)
-
-
 _INNOVATION = "innovation covariance S"
 _PREDICTION = "one-step prediction covariance"
 
 
-def _observed_rows(theta: StateSpaceParams, target_missing: bool, step: int) -> _ObservedRows:
-    """Prepare the update over all rows, or over the donor rows ``1:``.
+def _observed_rows(
+    theta: StateSpaceParams, Y: np.ndarray, target_missing: bool, step: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Whiten the update over all rows of ``Y``, or over the donor rows ``1:``.
 
-    R's block on those rows is gated as the innovation covariance would be:
-    a failure raises NumericalError at ``step``, the first step that uses it.
+    Those rows are whitened by R's Cholesky factor C on them (R = C C'), the
+    square root of the vector R under ``diag_noise``, so that the update
+    needs only ``Yw = C^-1 Y``, ``Hw = C^-1 H`` and ``J = H' R^-1 H = Hw' Hw``.
+    Returns (Yw, Hw, J, log det R).  R's block is gated as the innovation
+    covariance would be: a failure raises NumericalError at ``step``, the
+    first step that uses it.
     """
     if target_missing and theta.n_obs < 2:
         raise ConfigError("missing-target update needs at least one donor row")
     rows = slice(1, None) if target_missing else slice(None)
-    H = theta.H[rows]
+    H, Y = theta.H[rows], Y[rows]
     if theta.diag_noise:
         r = theta.R[rows]
         sd = np.sqrt(np.maximum(r, 0.0))  # a pivot <= 0 where r is
         gate_factor_diag(sd, _INNOVATION, step)
-        inv_sd, low_R = 1.0 / sd, None
-        Hw = inv_sd[:, None] * H
+        inv_sd = (1.0 / sd)[:, None]
+        Yw, Hw = inv_sd * Y, inv_sd * H
         logdet_R = float(np.log(r).sum())
     else:
         low_R = spd_cholesky(theta.R[rows, rows], _INNOVATION, step=step)
-        inv_sd = None
-        Hw = spd_solve(low_R, H)
+        Yw, Hw = spd_solve(low_R, Y), spd_solve(low_R, H)
         logdet_R = 2.0 * float(np.log(np.diag(low_R)).sum())
-    J = symmetrize(Hw.T @ Hw)
-    return _ObservedRows(rows=rows, Hw=Hw, J=J, logdet_R=logdet_R, inv_sd=inv_sd, low_R=low_R)
+    return Yw, Hw, symmetrize(Hw.T @ Hw), logdet_R
 
 
 def _covariance_half(
-    P: np.ndarray, theta: StateSpaceParams, obs: _ObservedRows, n_cols: int, k0: int, table: list[tuple]
+    P: np.ndarray, theta: StateSpaceParams, J: np.ndarray, n_cols: int, k0: int, table: list[tuple]
 ) -> np.ndarray:
     """Append the distinct covariance entries of the ``n_cols`` steps after time index ``k0`` to ``table``.
 
@@ -272,7 +252,7 @@ def _covariance_half(
     """
     # np.dot rather than @: at d x d it skips most of matmul's dispatch cost,
     # and both call the same BLAS routine.
-    A, Q, J, dot = theta.A, theta.Q, obs.J, np.dot
+    A, Q, dot = theta.A, theta.Q, np.dot
     unit = np.eye(theta.d)
     cov = np.arange(len(table), len(table) + n_cols)
     seen: dict[bytes, int] = {}
@@ -351,10 +331,10 @@ def filter_pass(
         try:
             for start, stop, missing in ((0, cut, False), (cut, k_total, True)):
                 if start < stop:
-                    obs = _observed_rows(theta, missing, step=start + 1)
+                    Yw, Hw, J, logdet_R = _observed_rows(theta, Y[:, start:stop], missing, step=start + 1)
                     e0 = len(table)
-                    cov = _covariance_half(P, theta, obs, stop - start, start, table)
-                    segments.append((slice(start, stop), obs, cov, slice(e0, len(table))))
+                    cov = _covariance_half(P, theta, J, stop - start, start, table)
+                    segments.append((slice(start, stop), (Yw, Hw, J, logdet_R), cov, slice(e0, len(table))))
                     P = table[cov[-1]][3]  # the segment's last filtered P starts the next
         finally:
             # Whitened by R, S is I + Hw P_pred Hw': its spectrum is M's up to
@@ -370,9 +350,7 @@ def filter_pass(
     m_pred, m = np.empty((k_total, theta.d)), np.empty((k_total, theta.d))
     m_last, loglik = theta.m0, 0.0
     logdet_M_e = 2.0 * np.log(M_diag_e).sum(axis=1)
-    for cols, obs, cov, own in segments:
-        Hw, J = obs.Hw, obs.J
-        Yw = obs.whiten(Y[obs.rows, cols])
+    for cols, (Yw, Hw, J, logdet_R), cov, own in segments:
         Z = Yw.T @ Hw  # row j is z for column j
         F = ((np.eye(theta.d) - LW_e[own] @ J) @ A)[cov - own.start]
         m[cols] = _linear_scan(F, np.einsum("kij,kj->ki", LW_e[cov], Z), m_last)
@@ -381,7 +359,7 @@ def filter_pass(
         delta = np.einsum("kij,kj->ki", L_e[cov], a)
         resid = (Yw - Hw @ m_pred[cols].T) - Hw @ delta.T
         loglik -= 0.5 * (
-            len(cov) * (Yw.shape[0] * _LOG_2PI + obs.logdet_R)
+            len(cov) * (Yw.shape[0] * _LOG_2PI + logdet_R)
             + float(logdet_M_e[cov].sum())
             + float(np.vdot(resid, resid) + np.vdot(a, a))
         )

@@ -267,7 +267,7 @@ class TestRscFit:
             fit = rsc_fit(panel, cfg)
             assert fit.cv_errors is not None
             best = min(fit.cv_errors.values())
-            assert fit.cv_errors[fit.lambda_] <= best + 1e-12
+            assert fit.cv_errors[fit.weights.lambda_] <= best + 1e-12
 
     def test_denoised_excludes_target_row(self):
         rng = np.random.default_rng(14)

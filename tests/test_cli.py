@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tasc import EmConfig, PanelData, fit_predict, params_from_json, save_csv, weights_from_json, weights_to_json
+from tasc import (
+    EmConfig, PanelData, ParseError, fit_predict, load_csv, params_from_json, save_csv, weights_from_json, weights_to_json
+)
 from tasc import cli
 from tasc.cli import main
 
@@ -331,6 +333,25 @@ class TestParsing:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("tasc: error: invalid JSON: ")
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"unit,t0,t1,t2\n", "CSV input has no data rows"),
+            (b"unit,t0,t1\nu0,1,2,3\nu1,4,5,6\n", "header row has 2 time labels for 3 value columns"),
+            (b"unit,t0,t1,t2\n\xff,1,2,3\nu1,4,5,6\n", "CSV input is not valid text: 'utf-8' codec can't decode"),
+        ],
+        ids=["header_only", "header_width", "not_utf8"],
+    )
+    def test_malformed_panel_csv_is_a_parse_error_and_exits_1(self, tmp_path, capsys, content, message):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=f"^{message}"):
+            load_csv(path, t0=2)
+        out = tmp_path / "o.csv"
+        code = main(["infer", "--input", str(path), "--t0", "2", "--method", "sc", "--output", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err.startswith(f"tasc: error: {message}")
 
     @pytest.mark.parametrize(
         "command, extra",

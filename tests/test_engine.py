@@ -346,7 +346,7 @@ class TestTascInfer:
         config = EmConfig(d=1, n_iters=60, n_restarts=2, seed=0)
         result = tasc_infer(panel, config)
         donor_post = panel.values[1, panel.t0 :]
-        r1 = float(result.theta.R[0])
+        r1 = float(result.em.theta.R[0])
         assert np.max(np.abs(result.estimate.y_hat - donor_post)) <= 2.0 * np.sqrt(r1)
 
     def test_counterfactual_invariant_to_target_post_cells(self):
@@ -378,7 +378,7 @@ class TestTascInfer:
         b = tasc_infer(panel, config)
         assert np.array_equal(a.estimate.y_hat, b.estimate.y_hat)
         assert np.array_equal(a.estimate.ci_lower, b.estimate.ci_lower)
-        assert a.loglik_trace == b.loglik_trace
+        assert (a.em.loglik_trace, a.em.restart_index) == (b.em.loglik_trace, b.em.restart_index)
 
     def test_bad_level_rejected(self):
         panel = self_similar_panel()
@@ -473,11 +473,10 @@ class TestTascInferGivenFit:
         panel = self_similar_panel()
         config = EmConfig(d=1, n_iters=10, n_restarts=2, seed=5)
         full = tasc_infer(panel, config)
-        em = EmResult(theta=full.theta, loglik_trace=full.loglik_trace)
-        again = tasc_infer(panel, config, em=em)
+        again = tasc_infer(panel, config, em=full.em)
         assert np.array_equal(again.estimate.y_hat, full.estimate.y_hat)
         assert np.array_equal(again.estimate.var_pred, full.estimate.var_pred)
-        assert again.loglik_trace == full.loglik_trace
+        assert again.em is full.em
 
     def test_row_count_mismatch_rejected(self):
         panel = self_similar_panel()

@@ -130,8 +130,8 @@ class TestPlaceboSuite:
     def test_one_entry_per_donor(self):
         sim = simulate(SimulationConfig(d_true=1, n_units=3, t_total=20, t0=12, seed=1))
         result = placebo_suite(sim.panel, SC, seed=0)
-        assert len(result.entries) == 2
-        assert [e.unit_label for e in result.entries] == ["unit1", "unit2"]
+        assert len(result) == 2
+        assert [e.unit_label for e in result] == ["unit1", "unit2"]
 
     def test_one_donor_panel_rejected_up_front(self):
         panel = make_panel(np.arange(10.0).reshape(2, 5), 3)
@@ -143,14 +143,14 @@ class TestPlaceboSuite:
         values = np.vstack([base, base, base, base])
         panel = make_panel(values, 6)
         result = placebo_suite(panel, SC, seed=0)
-        for entry in result.entries:
+        for entry in result:
             assert entry.rmse_post <= 1e-6
 
     def test_deterministic_given_seed(self):
         sim = simulate(SimulationConfig(d_true=2, n_units=6, t_total=24, t0=16, seed=2))
         a = placebo_suite(sim.panel, TASC, seed=5)
         b = placebo_suite(sim.panel, TASC, seed=5)
-        for ea, eb in zip(a.entries, b.entries):
+        for ea, eb in zip(a, b):
             assert ea.rmse_post == eb.rmse_post
             assert np.array_equal(ea.gap, eb.gap)
 
@@ -159,13 +159,13 @@ class TestPlaceboSuite:
         # latent dimension exceeds the pseudo panel's donor count -> per-unit error
         bad = Estimator(method="tasc", em=EmConfig(d=5, n_iters=5, n_restarts=1))
         result = placebo_suite(sim.panel, bad, seed=0)
-        assert len(result.entries) == 3
-        assert all(e.error is not None for e in result.entries)
+        assert len(result) == 3
+        assert all(e.error is not None for e in result)
 
     def test_gap_series_is_observed_minus_predicted(self):
         sim = simulate(SimulationConfig(d_true=1, n_units=4, t_total=15, t0=10, seed=4))
         result = placebo_suite(sim.panel, SC, seed=0)
-        entry = result.entries[0]
+        entry = result[0]
         assert entry.gap.shape == (15,)
 
     def test_time_aware_placebo_beats_spectral_under_heavy_noise(self):
@@ -184,10 +184,10 @@ class TestPlaceboSuite:
             )
             panel = simulate(cfg).panel
             tasc_errs.extend(
-                e.rmse_post for e in placebo_suite(panel, t_est, seed=rep).entries if e.error is None
+                e.rmse_post for e in placebo_suite(panel, t_est, seed=rep) if e.error is None
             )
             rsc_errs.extend(
-                e.rmse_post for e in placebo_suite(panel, r_est, seed=rep).entries if e.error is None
+                e.rmse_post for e in placebo_suite(panel, r_est, seed=rep) if e.error is None
             )
         assert np.median(tasc_errs) < np.median(rsc_errs)
 
@@ -222,7 +222,7 @@ class TestPlaceboFitReuse:
     def test_em_runs_once_per_uncentered_tasc_suite(self, monkeypatch, estimator, em_calls):
         calls = self._count_em(monkeypatch)
         result = placebo_suite(self.PANEL, estimator, seed=3)
-        assert all(e.error is None for e in result.entries)
+        assert all(e.error is None for e in result)
         assert len(calls) == em_calls
 
     def test_reused_fit_is_the_first_fit_with_rows_permuted(self, monkeypatch):
@@ -240,7 +240,7 @@ class TestPlaceboFitReuse:
 
         monkeypatch.setattr(tasc.evaluate, "fit_predict", recorded)
         result = placebo_suite(self.PANEL, self.EST, seed=3)
-        assert len(fits) == 4 and all(e.error is None for e in result.entries)
+        assert len(fits) == 4 and all(e.error is None for e in result)
         first_panel, first_est, first_seed, first = fits[0]
         assert first_est.em_result is None and first_seed == derive_seed(3, 1)
         rows = {label: i for i, label in enumerate(first_panel.unit_labels)}
@@ -269,7 +269,7 @@ class TestPlaceboFitReuse:
         estimator = Estimator(method="tasc", em=EmConfig(d=2, n_iters=10, n_restarts=1))
         suite = placebo_suite(panel, estimator, seed=seed)
         donors = list(range(1, panel.n_units))
-        for j, entry in zip(donors, suite.entries):
+        for j, entry in zip(donors, suite):
             assert entry.error is None
             order = [j] + [i for i in donors if i != j]
             pseudo = PanelData(
@@ -285,7 +285,7 @@ class TestPlaceboFitReuse:
 
         calls = self._count_em(monkeypatch, fail_first=True)
         result = placebo_suite(self.PANEL, self.EST, seed=3)
-        assert [e.error is None for e in result.entries] == [False, True, True, True]
+        assert [e.error is None for e in result] == [False, True, True, True]
         assert calls == [derive_seed(3, 1), derive_seed(3, 2)]
 
     def test_centered_suite_refits_each_donor_with_its_own_seed(self):
@@ -293,7 +293,7 @@ class TestPlaceboFitReuse:
 
         centered = Estimator(method="tasc", em=self.EST.em, center=True)
         result = placebo_suite(self.PANEL, centered, seed=3)
-        for j, entry in zip(range(1, self.PANEL.n_units), result.entries):
+        for j, entry in zip(range(1, self.PANEL.n_units), result):
             order = [j] + [i for i in range(1, self.PANEL.n_units) if i != j]
             pseudo = PanelData(
                 self.PANEL.values[order], self.PANEL.t0,
@@ -311,7 +311,7 @@ class TestThresholdFilter:
     def test_huge_ratio_keeps_all(self):
         result = self._placebo()
         kept = threshold_filter(result, target_pre_mse=1e-12, ratio=1e18)
-        assert len(kept) == len(result.entries)
+        assert len(kept) == len(result)
 
     def test_tiny_ratio_keeps_none(self):
         result = self._placebo()
@@ -320,7 +320,7 @@ class TestThresholdFilter:
 
     def test_monotone_in_ratio(self):
         result = self._placebo()
-        target_mse = np.median([e.rmse_pre**2 for e in result.entries])
+        target_mse = np.median([e.rmse_pre**2 for e in result])
         sizes = [len(threshold_filter(result, target_mse, r)) for r in (0.5, 1.0, 2.0, 10.0)]
         assert sizes == sorted(sizes)
 
@@ -389,6 +389,16 @@ class TestMethodSweep:
         reports = method_sweep(regimes, [SC, SC], replicates=1, seed=1)
         assert reports[0].rmse_post == reports[1].rmse_post
 
+    def test_bucket_count_below_one_rejected_before_any_fit(self, monkeypatch):
+        import tasc.evaluate
+
+        calls = []
+        monkeypatch.setattr(tasc.evaluate, "fit_predict", lambda *args: calls.append(args))
+        regimes = [SimulationConfig(d_true=1, n_units=4, t_total=14, t0=8, seed=0)]
+        with pytest.raises(ConfigError, match="n_buckets"):
+            method_sweep(regimes, [SC], replicates=1, seed=0, n_buckets=0)
+        assert calls == []
+
     def test_interval_coverage_of_tasc_cells(self):
         from tasc._numeric import derive_seed
 
@@ -415,7 +425,7 @@ _HARNESS_PANEL = simulate(SimulationConfig(d_true=1, n_units=4, t_total=16, t0=1
 _HARNESSES = {
     "placebo_suite": (
         lambda: placebo_suite(_HARNESS_PANEL, SC, seed=0),
-        lambda result: [(e.error, e.rmse_post) for e in result.entries],
+        lambda result: [(e.error, e.rmse_post) for e in result],
         1,
     ),
     "permutation_stress_test": (

@@ -12,12 +12,9 @@ from tasc import (
     ParseError,
     SimulationConfig,
     load_csv,
-    load_metadata,
     mean_center,
-    panel_metadata,
     permute_columns,
     save_csv,
-    save_metadata,
     save_simulation,
     simulate,
     split,
@@ -204,22 +201,6 @@ class TestSaveCsvRoundTrip:
         save_csv(panel, path)
         assert path.read_bytes() == buf.getvalue().encode()
 
-    def test_metadata_sidecar(self, tmp_path):
-        panel = make_panel(np.ones((3, 4)), 2)
-        meta = panel_metadata(panel)
-        assert meta == {"n_units": 3, "t_total": 4, "t0": 2, "target_label": "u0"}
-        path = tmp_path / "panel.meta.json"
-        save_metadata(panel, path)
-        assert load_metadata(path) == meta
-        assert load_metadata(path.read_text()) == meta  # inline JSON text
-        path.write_text("5")
-        with pytest.raises(ConfigError, match="^sidecar metadata must be a JSON object, got int$"):
-            load_metadata(path)
-        with pytest.raises(ConfigError, match="^sidecar metadata must be a JSON object, got list$"):
-            load_metadata("[3, 4, 2]")
-        with pytest.raises(ConfigError, match="^sidecar metadata is missing key 't_total'$"):
-            load_metadata('{"n_units": 3, "t0": 2, "target_label": "u0"}')
-
 
 # Labels that csv must quote (delimiter, quote, line breaks), spaces, non-ASCII
 # and the empty label; "t,3" and the like come from the same alphabet.
@@ -287,17 +268,17 @@ class TestMeanCenter:
     def test_constant_rows_center_to_zero(self):
         c = np.array([3.0, 1.0, 4.0, 1.5])
         values = np.tile(c, (3, 1))
-        centered = mean_center(make_panel(values, 2))
-        assert np.allclose(centered.mean_trajectory, c)
-        assert np.allclose(centered.panel.values, 0.0)
+        centered, mean = mean_center(make_panel(values, 2))
+        assert np.allclose(mean, c)
+        assert np.allclose(centered.values, 0.0)
 
     def test_two_donor_hand_example(self):
         # donors (1,2,3) and (3,4,5): donor mean (2,3,4), centered donors -/+1.
         values = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [3.0, 4.0, 5.0]])
-        centered = mean_center(make_panel(values, 2))
-        assert np.array_equal(centered.mean_trajectory, [2.0, 3.0, 4.0])
-        assert np.array_equal(centered.panel.values[1], [-1.0, -1.0, -1.0])
-        assert np.array_equal(centered.panel.values[2], [1.0, 1.0, 1.0])
+        centered, mean = mean_center(make_panel(values, 2))
+        assert np.array_equal(mean, [2.0, 3.0, 4.0])
+        assert np.array_equal(centered.values[1], [-1.0, -1.0, -1.0])
+        assert np.array_equal(centered.values[2], [1.0, 1.0, 1.0])
 
 
 class TestSplit:
