@@ -3,8 +3,8 @@
 Every command reads optional JSON configuration (flags override file values),
 derives all randomness from one root seed, and stamps each output artifact
 with the tool version, the command line and the seed so any file can be
-regenerated.  Exit codes: 0 success, 1 parse/config failure, 2 numerical
-failure.
+regenerated.  Exit codes: 0 success, 1 parse/config failure or an
+unwritable output path, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -196,14 +196,11 @@ def cmd_infer(args, argv: list[str]) -> int:
             row["effect"] = float(target_post[i] - pred.y_hat[i])
         rows.append(row)
     out = _write_table(rows, list(rows[0].keys()), args.output, args.format, meta)
-    if pred.theta is not None:
-        doc = _params_doc(pred.theta, loglik_trace=pred.loglik_trace)
-        doc["meta"] = meta
-        write_json(doc, out.with_suffix(out.suffix + ".theta.json"))
+    if pred.em is not None:
+        doc = _params_doc(pred.em.theta, loglik_trace=pred.em.loglik_trace)
+        write_json({**doc, "meta": meta}, out.with_suffix(out.suffix + ".theta.json"))
     if pred.weights is not None:
-        doc = _weights_doc(pred.weights)
-        doc["meta"] = meta
-        write_json(doc, out.with_suffix(out.suffix + ".weights.json"))
+        write_json({**_weights_doc(pred.weights), "meta": meta}, out.with_suffix(out.suffix + ".weights.json"))
     return 0
 
 
@@ -305,6 +302,8 @@ def cmd_bench(args, argv: list[str]) -> int:
 
     config = _load_config(args.config)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ConfigError(f"--methods must name at least one method, got {args.methods!r}")
     estimators = []
     for m in methods:
         sub = argparse.Namespace(**{**vars(args), "method": m})
@@ -397,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, argv)
     except SystemExit as exc:  # e.g. --version
         return int(exc.code or 0)
-    except (ParseError, ConfigError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ParseError, ConfigError, OSError) as exc:
         print(f"tasc: error: {exc}", file=sys.stderr)
         return _FAIL_CONFIG
     except (NumericalError, FitError, SolverError) as exc:

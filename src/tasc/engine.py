@@ -249,13 +249,12 @@ def _floor_spectrum(m: np.ndarray, floor: float) -> np.ndarray:
     return m
 
 
-def _em_single(Y_pre: np.ndarray, config: EmConfig, restart_index: int) -> tuple[StateSpaceParams, list[float]]:
+def _em_single(Y_pre: np.ndarray, config: EmConfig, restart_index: int) -> EmResult:
     theta = init_params(Y_pre, config, restart_index)
-    if config.n_iters == 0:
-        return theta, []
     trace: list[float] = []
     min_gain = config.rel_tol * Y_pre.size
-    for it in range(config.n_iters + 1):  # the last pass only scores the final theta
+    # The last pass only scores the final theta; without iterations there is no pass.
+    for it in range(config.n_iters + 1 if config.n_iters else 0):
         filtered = _forward(Y_pre, theta)
         ll = filtered.loglik
         if trace and ll < trace[-1] - _MONOTONE_SLACK:
@@ -263,10 +262,11 @@ def _em_single(Y_pre: np.ndarray, config: EmConfig, restart_index: int) -> tuple
         converged = bool(trace) and ll - trace[-1] < min_gain
         trace.append(ll)
         if converged or it == config.n_iters:
-            return theta, trace
+            break
         smoothed = smooth_pass(filtered, theta)
         stats = accumulate_stats(smoothed, Y_pre)
         theta = m_step(stats, theta, smoothed.m_s[0], smoothed.P_s[0])
+    return EmResult(theta=theta, loglik_trace=trace, restart_index=restart_index)
 
 
 def em_pre(Y_pre: np.ndarray, config: EmConfig) -> EmResult:
@@ -282,28 +282,21 @@ def em_pre(Y_pre: np.ndarray, config: EmConfig) -> EmResult:
         raise ConfigError("Y_pre must be an N x t0 matrix")
     if not np.all(np.isfinite(Y_pre)):
         raise ConfigError("pre-intervention data must be finite")
-    best: tuple[float, int, StateSpaceParams, list[float]] | None = None
+    fits: list[EmResult] = []
     causes: list[Exception] = []
     for r in range(config.n_restarts):
         try:
-            theta, trace = _em_single(Y_pre, config, r)
+            fits.append(_em_single(Y_pre, config, r))
         except (TascError, np.linalg.LinAlgError) as exc:
             logger.debug("EM restart %d failed: %s", r, exc)
             causes.append(exc)
-            continue
-        score = trace[-1] if trace else -np.inf
-        if best is None or score > best[0]:
-            best = (score, r, theta, trace)
-        if config.n_iters == 0:
-            break  # without iterations every restart is scoreless; keep the first
-    if best is None:
+        if fits and config.n_iters == 0:
+            break  # without iterations every restart is scoreless; keep the first that succeeds
+    if not fits:
         raise FitError(
-            f"all {config.n_restarts} EM restarts failed: "
-            + "; ".join(str(c) for c in causes),
-            causes=causes,
+            f"all {config.n_restarts} EM restarts failed: " + "; ".join(str(c) for c in causes), causes=causes
         )
-    _, r, theta, trace = best
-    return EmResult(theta=theta, loglik_trace=trace, restart_index=r)
+    return max(fits, key=lambda fit: fit.loglik_trace[-1] if fit.loglik_trace else -np.inf)  # first of equals
 
 
 def tasc_infer(

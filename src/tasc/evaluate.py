@@ -23,7 +23,6 @@ from .engine import EmConfig, EmResult, confidence_width, tasc_infer
 from .errors import ConfigError, TascError
 from .panel import PanelData, mean_center, permute_columns
 from .simulate import SimulationConfig, simulate
-from .ssm import StateSpaceParams
 
 __all__ = [
     "Estimator",
@@ -84,10 +83,11 @@ class Estimator:
     trajectory back to predictions.  ``sc_tol`` is the gap tolerance of
     Wolfe's method in :func:`~tasc.baselines.sc_fit`, on the problem rescaled
     to unit RMS.  ``em_result``, for the time-aware method, is an EM fit whose
-    rows follow the panel's: the fit then skips EM and runs only the
-    counterfactual pass with it.  :func:`placebo_suite` sets it so that every
-    donor reuses one fit, the first donor's with that donor's seed; only with
-    ``center`` does each donor refit.
+    rows follow the panel's: the fit then skips EM, runs only the
+    counterfactual pass with it and returns it as ``Prediction.em``.
+    :func:`placebo_suite` sets it so that every donor reuses one fit, the first
+    donor's with that donor's seed, rows permuted and restart index and trace
+    kept; only with ``center`` does each donor refit.  ``level`` is in (0, 1).
     """
 
     method: str
@@ -106,13 +106,18 @@ class Estimator:
             raise ConfigError("tasc estimator needs an EmConfig")
         if self.method == "rsc" and self.rsc is None:
             raise ConfigError("rsc estimator needs an RscConfig")
+        if not 0.0 < self.level < 1.0:
+            raise ConfigError("confidence level must be in (0, 1)")
         if self.name is None:
             self.name = self.method
 
 
 @dataclass(frozen=True)
 class Prediction:
-    """Unified output of a single fit: post path, in-sample fit and extras."""
+    """Unified output of a single fit: post path, in-sample fit and extras.
+
+    ``em`` is the time-aware method's EM fit, winning restart included, as it reached the counterfactual pass.
+    """
 
     y_hat: np.ndarray
     fitted_pre: np.ndarray
@@ -120,8 +125,11 @@ class Prediction:
     ci_upper: np.ndarray | None = None
     ci_width: float | None = None
     weights: DonorWeights | None = None
-    theta: StateSpaceParams | None = None
-    loglik_trace: list[float] = field(default_factory=list)
+    em: EmResult | None = None
+
+    @property
+    def loglik_trace(self) -> list[float]:
+        return [] if self.em is None else self.em.loglik_trace
 
 
 def fit_predict(panel: PanelData, estimator: Estimator, seed: int | None = None) -> Prediction:
@@ -131,41 +139,31 @@ def fit_predict(panel: PanelData, estimator: Estimator, seed: int | None = None)
     are deterministic and ignore it.
     """
     work, offset = mean_center(panel) if estimator.center else (panel, None)
+    t0 = panel.t0
 
     if estimator.method == "tasc":
-        config = estimator.em
-        if seed is not None:
-            config = replace(config, seed=seed)
+        config = estimator.em if seed is None else replace(estimator.em, seed=seed)
         result = tasc_infer(work, config, level=estimator.level, em=estimator.em_result)
         est = result.estimate
-        y_hat, fitted = est.y_hat, est.fitted_pre
-        lo, hi = est.ci_lower, est.ci_upper
-        if offset is not None:
-            post_off, pre_off = offset[panel.t0 :], offset[: panel.t0]
-            y_hat, fitted = y_hat + post_off, fitted + pre_off
-            lo, hi = lo + post_off, hi + post_off
-        return Prediction(
-            y_hat=y_hat,
-            fitted_pre=fitted,
-            ci_lower=lo,
-            ci_upper=hi,
-            ci_width=confidence_width(est),
-            theta=result.em.theta,
-            loglik_trace=result.em.loglik_trace,
+        pred = Prediction(
+            y_hat=est.y_hat, fitted_pre=est.fitted_pre, ci_lower=est.ci_lower, ci_upper=est.ci_upper,
+            ci_width=confidence_width(est), em=result.em,
         )
-
-    if estimator.method == "sc":
-        donors = work.donors
-        weights = sc_fit(work.values[0, : panel.t0], donors[:, : panel.t0], tol=estimator.sc_tol)
     else:
-        fit = rsc_fit(work, estimator.rsc)
-        weights, donors = fit.weights, fit.denoised
-    y_hat = sc_predict(weights, donors[:, panel.t0 :])
-    fitted = sc_predict(weights, donors[:, : panel.t0])
-    if offset is not None:
-        y_hat = y_hat + offset[panel.t0 :]
-        fitted = fitted + offset[: panel.t0]
-    return Prediction(y_hat=y_hat, fitted_pre=fitted, weights=weights)
+        if estimator.method == "sc":
+            donors = work.donors
+            weights = sc_fit(work.values[0, :t0], donors[:, :t0], tol=estimator.sc_tol)
+        else:
+            fit = rsc_fit(work, estimator.rsc)
+            weights, donors = fit.weights, fit.denoised
+        pred = Prediction(
+            y_hat=sc_predict(weights, donors[:, t0:]), fitted_pre=sc_predict(weights, donors[:, :t0]), weights=weights
+        )
+    if offset is None:
+        return pred
+    post, pre = offset[t0:], offset[:t0]
+    bounds = {} if pred.ci_lower is None else dict(ci_lower=pred.ci_lower + post, ci_upper=pred.ci_upper + post)
+    return replace(pred, y_hat=pred.y_hat + post, fitted_pre=pred.fitted_pre + pre, **bounds)
 
 
 def _attempt(panel: PanelData, estimator: Estimator, seed: int | None) -> tuple[Prediction | None, str | None]:
@@ -208,7 +206,7 @@ def placebo_suite(panel: PanelData, estimator: Estimator, seed: int = 0) -> list
     entries: list[PlaceboEntry] = []
     donor_rows = list(range(1, panel.n_units))
     reuse = estimator.method == "tasc" and not estimator.center
-    shared: tuple[Prediction, list[int]] | None = None  # first tasc fit and its row order
+    shared: tuple[EmResult, list[int]] | None = None  # first tasc fit and its row order
     for j in donor_rows:
         others = [i for i in donor_rows if i != j]
         order = [j] + others
@@ -226,7 +224,7 @@ def placebo_suite(panel: PanelData, estimator: Estimator, seed: int = 0) -> list
             entries.append(PlaceboEntry(label, float("nan"), float("nan"), None, error=error))
             continue
         if reuse and shared is None:
-            shared = (pred, order)
+            shared = (pred.em, order)
         observed = panel.values[j]
         predicted = np.concatenate([pred.fitted_pre, pred.y_hat])
         entries.append(
@@ -240,17 +238,13 @@ def placebo_suite(panel: PanelData, estimator: Estimator, seed: int = 0) -> list
     return entries
 
 
-def _permuted_fit(pred: Prediction, fit_order: list[int], order: list[int]) -> EmResult:
-    """The EM fit behind ``pred``, made on rows ``fit_order``, with its rows in ``order``.
-
-    Only H and R have a row axis.  ``Prediction`` does not carry the winning
-    restart's index, and the counterfactual pass does not read it.
-    """
+def _permuted_fit(em: EmResult, fit_order: list[int], order: list[int]) -> EmResult:
+    """``em``, fitted on rows ``fit_order``, with its rows in ``order``; only H and R have a row axis."""
     where = {row: i for i, row in enumerate(fit_order)}
     idx = np.array([where[row] for row in order])
-    R = pred.theta.R[idx] if pred.theta.diag_noise else pred.theta.R[np.ix_(idx, idx)]
-    theta = replace(pred.theta, H=pred.theta.H[idx], R=R)
-    return EmResult(theta=theta, loglik_trace=pred.loglik_trace)
+    theta = em.theta
+    R = theta.R[idx] if theta.diag_noise else theta.R[np.ix_(idx, idx)]
+    return replace(em, theta=replace(theta, H=theta.H[idx], R=R))
 
 
 def threshold_filter(placebo: list[PlaceboEntry], target_pre_mse: float, ratio: float) -> list[str]:

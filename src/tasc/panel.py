@@ -86,10 +86,6 @@ class PanelData:
         return self.values.shape[1]
 
     @property
-    def target(self) -> np.ndarray:
-        return self.values[0]
-
-    @property
     def donors(self) -> np.ndarray:
         return self.values[1:]
 

@@ -60,9 +60,9 @@ class TestInfer:
         written = params_from_json(out.with_suffix(".csv.theta.json"))
         (fitted,) = fits
         for name in ("A", "H", "Q", "R", "m0", "P0"):
-            assert np.array_equal(getattr(written, name), getattr(fitted.theta, name))
-        assert written.diag_noise == fitted.theta.diag_noise
-        assert theta_doc["R"] == fitted.theta.R.tolist()  # diag_noise: R is its diagonal
+            assert np.array_equal(getattr(written, name), getattr(fitted.em.theta, name))
+        assert written.diag_noise == fitted.em.theta.diag_noise
+        assert theta_doc["R"] == fitted.em.theta.R.tolist()  # diag_noise: R is its diagonal
         assert theta_doc["loglik_trace"] == fitted.loglik_trace
 
     def test_sc_vertex_weights_on_identical_donor(self, toy_panel_csv, tmp_path, monkeypatch):
@@ -113,6 +113,17 @@ class TestInfer:
         doc = json.loads(out.read_text())
         assert doc["meta"]["tool"] == "tasc"
         assert len(doc["rows"]) == 24 - t0
+
+    def test_output_under_a_file_exits_1(self, toy_panel_csv, tmp_path, capsys):
+        path, t0 = toy_panel_csv
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main([
+            "infer", "--input", str(path), "--t0", str(t0), "--method", "sc", "--output", str(blocker / "out.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tasc: error: ") and err.count("\n") == 1
 
     def test_numerical_failure_exits_2(self, tmp_path):
         # An all-zero pre panel has relative noise floors of 0, which makes R
@@ -171,6 +182,17 @@ class TestSimulate:
             assert (out / name).exists()
         meta = json.loads((out / "meta.json").read_text())
         assert meta["config"]["seed"] == 5
+
+    def test_output_that_is_a_file_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main([
+            "simulate", "--config", '{"d_true": 1, "n_units": 4, "t_total": 12, "t0": 8}', "--output", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tasc: error: ") and err.count("\n") == 1
+        assert out.read_text() == ""
 
     def test_seed_flag_overrides(self, tmp_path):
         config = tmp_path / "sim.json"
@@ -274,6 +296,18 @@ class TestBench:
         assert len(rows) == 1
         assert rows[0]["metric"] == "rmse_post"
         assert rows[0]["regime"] == "tiny"
+
+    @pytest.mark.parametrize("methods", [",", " , ", ""])
+    def test_no_method_left_exits_1_before_the_sweep(self, tmp_path, capsys, monkeypatch, methods):
+        monkeypatch.setattr(cli, "method_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+        out = tmp_path / "bench.csv"
+        code = main([
+            "bench", "--regimes", '[{"d_true": 1, "n_units": 4, "t_total": 12, "t0": 8}]', "--methods", methods,
+            "--output", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("tasc: error: --methods must name at least one method")
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         regimes = tmp_path / "regimes.json"
@@ -446,6 +480,23 @@ class TestParsing:
         assert code == 1
         assert capsys.readouterr().err == "tasc: error: cv_grid entries must be finite and >= 0\n"
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "placebo", "bench"])
+    def test_level_out_of_range_exits_1_before_any_fit(self, toy_panel_csv, tmp_path, capsys, monkeypatch, command):
+        import tasc.evaluate
+
+        path, t0 = toy_panel_csv
+        for module in (cli, tasc.evaluate):
+            monkeypatch.setattr(module, "fit_predict", lambda *a, **k: pytest.fail("a fit ran"))
+        out = tmp_path / "o.csv"
+        if command == "bench":
+            inputs = ["--regimes", '[{"d_true": 1, "n_units": 4, "t_total": 12, "t0": 8}]', "--methods", "tasc"]
+        else:
+            inputs = ["--input", str(path), "--t0", str(t0), "--method", "tasc"]
+        code = main([command, *inputs, "--d", "1", "--level", "1.5", "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "tasc: error: confidence level must be in (0, 1)\n"
+        assert not out.exists()
 
     def test_em_section_takes_every_default_from_emconfig(self):
         args = cli.build_parser().parse_args(["infer", "--method", "tasc", "--output", "o.csv"])

@@ -102,7 +102,7 @@ class TestFitPredict:
             assert pred.fitted_pre.shape == (20,)
         tasc_pred = fit_predict(sim.panel, TASC, seed=1)
         assert tasc_pred.ci_lower is not None
-        assert tasc_pred.theta is not None
+        assert tasc_pred.em.theta is not None
         sc_pred = fit_predict(sim.panel, SC)
         assert sc_pred.weights is not None
 
@@ -116,6 +116,11 @@ class TestFitPredict:
         pred = fit_predict(panel, est)
         assert np.allclose(pred.y_hat, base[5:])
         assert np.allclose(pred.fitted_pre, base[:5])
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
+    def test_level_outside_unit_interval_rejected(self, level):
+        with pytest.raises(ConfigError, match=r"^confidence level must be in \(0, 1\)$"):
+            Estimator(method="sc", level=level)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
@@ -246,16 +251,35 @@ class TestPlaceboFitReuse:
         rows = {label: i for i, label in enumerate(first_panel.unit_labels)}
         for pseudo, est, _, pred in fits[1:]:
             idx = [rows[label] for label in pseudo.unit_labels]
-            theta = pred.theta
-            assert np.array_equal(theta.H, first.theta.H[idx])
-            assert np.array_equal(theta.R, first.theta.R[idx])  # diagonal noise: R is a vector
+            theta = pred.em.theta
+            assert np.array_equal(theta.H, first.em.theta.H[idx])
+            assert np.array_equal(theta.R, first.em.theta.R[idx])  # diagonal noise: R is a vector
             for name in ("A", "Q", "m0", "P0"):
-                assert np.array_equal(getattr(theta, name), getattr(first.theta, name))
+                assert np.array_equal(getattr(theta, name), getattr(first.em.theta, name))
             assert pred.loglik_trace == first.loglik_trace
             # The pass on that theta alone, outside the suite, gives the same path.
             alone = tasc_infer(pseudo, self.EST.em, em=EmResult(theta=theta, loglik_trace=[]))
             assert np.array_equal(pred.y_hat, alone.estimate.y_hat)
             assert np.array_equal(pred.ci_upper, alone.estimate.ci_upper)
+
+    def test_reused_fits_keep_the_winning_restart_and_trace(self, monkeypatch):
+        import tasc.evaluate
+
+        preds = []
+        original = tasc.evaluate.fit_predict
+
+        def recorded(panel, estimator, seed=None):
+            preds.append(original(panel, estimator, seed))
+            return preds[-1]
+
+        monkeypatch.setattr(tasc.evaluate, "fit_predict", recorded)
+        result = placebo_suite(self.PANEL, self.EST, seed=1)
+        assert len(preds) == 4 and all(e.error is None for e in result)
+        first, *reused = [pred.em for pred in preds]
+        assert first.restart_index == 1  # at this seed the second restart wins
+        for em in reused:
+            assert em.restart_index == first.restart_index
+            assert em.loglik_trace == first.loglik_trace
 
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**16))
