@@ -40,10 +40,9 @@ from .ssm import (
     smooth_pass,
 )
 from .engine import (
-    CounterfactualEstimate,
     EmConfig,
+    Prediction,
     accumulate_stats,
-    confidence_width,
     em_pre,
     init_params,
     m_step,

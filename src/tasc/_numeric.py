@@ -170,9 +170,10 @@ def read_json_object(source: str | Path, keys: tuple[str, ...], what: str) -> di
 def write_json(doc: dict, dest: str | Path | None = None) -> str:
     """Encode a JSON artifact (two-space indent, trailing newline); write it to ``dest`` if given.
 
-    numpy scalars and arrays are encoded as the equivalent Python values.
+    numpy scalars and arrays are encoded as the equivalent Python values.  A
+    non-finite number raises ValueError, since strict JSON has no token for it.
     """
-    text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+    text = json.dumps(doc, indent=2, default=_json_default, allow_nan=False) + "\n"
     if dest is not None:
         Path(dest).write_text(text)
     return text

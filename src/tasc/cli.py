@@ -159,15 +159,20 @@ def _load_panel(args, config: dict) -> PanelData:
     return load_csv(path, t0=t0, has_header=not no_header, target_row=_pick(args.target_row, config, "target_row", 0))
 
 
-def _write_table(rows: list[dict], fieldnames: list[str], output: str, fmt: str, meta: dict) -> Path:
-    """Write ``rows`` to ``output`` as CSV or JSON, making its directory; return its path."""
+def _output(output: str) -> Path:
+    """The ``--output`` path with its directory made, so a bad path fails before any work."""
     out = Path(output)
     out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_table(rows: list[dict], fieldnames: list[str], out: Path, fmt: str, meta: dict) -> None:
+    """Write ``rows`` to ``out`` as CSV or JSON; a non-finite JSON cell is null."""
     if fmt == "json":
+        rows = [{k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in r.items()} for r in rows]
         write_json({"meta": meta, "rows": rows}, out)
     else:
         write_rows_csv(rows, out, fieldnames=fieldnames, meta=meta)
-    return out
 
 
 def cmd_infer(args, argv: list[str]) -> int:
@@ -176,6 +181,7 @@ def cmd_infer(args, argv: list[str]) -> int:
     estimator = _build_estimator(args, config)
     seed = _pick(args.seed, config, "seed", 0)
     meta = _meta(argv, seed)
+    out = _output(args.output)
     pred = fit_predict(panel, estimator, seed=seed)
 
     t0 = panel.t0
@@ -195,12 +201,12 @@ def cmd_infer(args, argv: list[str]) -> int:
             row["observed"] = float(target_post[i])
             row["effect"] = float(target_post[i] - pred.y_hat[i])
         rows.append(row)
-    out = _write_table(rows, list(rows[0].keys()), args.output, args.format, meta)
+    _write_table(rows, list(rows[0].keys()), out, args.format, meta)
     if pred.em is not None:
         doc = _params_doc(pred.em.theta, loglik_trace=pred.em.loglik_trace)
-        write_json({**doc, "meta": meta}, out.with_suffix(out.suffix + ".theta.json"))
+        write_json({**doc, "meta": meta}, f"{out}.theta.json")
     if pred.weights is not None:
-        write_json({**_weights_doc(pred.weights), "meta": meta}, out.with_suffix(out.suffix + ".weights.json"))
+        write_json({**_weights_doc(pred.weights), "meta": meta}, f"{out}.weights.json")
     return 0
 
 
@@ -210,8 +216,9 @@ def cmd_simulate(args, argv: list[str]) -> int:
         doc["seed"] = args.seed
     sim_config = _simulation(doc, "simulation config")
     meta = _meta(argv, sim_config.seed)
-    sim = simulate(sim_config)
     out = Path(args.output)
+    out.mkdir(parents=True, exist_ok=True)  # before the simulation, so a bad path fails first
+    sim = simulate(sim_config)
     paths = save_simulation(sim, out)
     doc = {"meta": meta, "config": sim_config.__dict__, "files": {k: str(v) for k, v in paths.items()}}
     write_json(doc, out / "meta.json")
@@ -231,6 +238,7 @@ def cmd_placebo(args, argv: list[str]) -> int:
         valid = False
     if not valid:  # checked before the suite runs or any file is written
         raise ConfigError(f"--ratio must be comma-separated finite numbers > 0, got {args.ratio!r}")
+    out = _output(args.output)
 
     entries = placebo_suite(panel, estimator, seed=seed)
     target_pred = fit_predict(panel, estimator, seed=seed)
@@ -249,9 +257,7 @@ def cmd_placebo(args, argv: list[str]) -> int:
         }
         for entry in entries
     ]
-    out = _write_table(
-        rows, ["unit", "rmse_pre", "rmse_post", "mse_ratio_to_target", "error"], args.output, args.format, meta
-    )
+    _write_table(rows, ["unit", "rmse_pre", "rmse_post", "mse_ratio_to_target", "error"], out, args.format, meta)
 
     gaps = [] if panel.target_post_missing else [
         (panel.unit_labels[0], panel.values[0] - np.concatenate([target_pred.fitted_pre, target_pred.y_hat]))
@@ -262,11 +268,11 @@ def cmd_placebo(args, argv: list[str]) -> int:
         for unit, gap in gaps
         for t, label in enumerate(panel.time_labels)
     ]
-    write_rows_csv(gap_rows, str(out) + ".gaps.csv", fieldnames=["unit", "t", "time_label", "gap"], meta=meta)
+    write_rows_csv(gap_rows, f"{out}.gaps.csv", fieldnames=["unit", "t", "time_label", "gap"], meta=meta)
 
     retained = {repr(ratio): threshold_filter(entries, target_pre_mse, ratio) for ratio in ratios}
     retained_doc = {"meta": meta, "target_pre_mse": target_pre_mse, "retained": retained}
-    write_json(retained_doc, str(out) + ".retained.json")
+    write_json(retained_doc, f"{out}.retained.json")
     return 0
 
 
@@ -279,13 +285,14 @@ def cmd_permute(args, argv: list[str]) -> int:
         data = _simulation(_load_config(args.simconfig, _SIM_KINDS), "simulation config")
     else:
         data = _load_panel(args, config)
+    out = _output(args.output)
     result = permutation_stress_test(data, estimator, n_shuffles=args.shuffles, seed=seed)
 
     rows = [{"kind": "ordered", "index": -1, "rmse": result.rmse_ordered, "error": ""}]
     for i, (value, err) in enumerate(zip(result.rmse_shuffled, result.errors)):
         rows.append({"kind": "shuffled", "index": i, "rmse": value, "error": err or ""})
     rows.append({"kind": "mean_ratio", "index": -1, "rmse": result.mean_ratio, "error": ""})
-    _write_table(rows, ["kind", "index", "rmse", "error"], args.output, args.format, meta)
+    _write_table(rows, ["kind", "index", "rmse", "error"], out, args.format, meta)
     return 0
 
 
@@ -310,14 +317,14 @@ def cmd_bench(args, argv: list[str]) -> int:
         estimators.append(_build_estimator(sub, config))  # checks the config values first
     seed = _pick(args.seed, config, "seed", 0)
     meta = _meta(argv, seed)
-
+    out = _output(args.output)
     reports = method_sweep(
         regimes, estimators, replicates=args.replicates, seed=seed, n_buckets=args.buckets, regime_names=names
     )
     rows = reports_to_rows(reports)
     if args.metrics == "post":
         rows = [r for r in rows if r["metric"] in ("rmse_post", "error")]
-    _write_table(rows, ["regime", "method", "replicate", "seed", "metric", "value"], args.output, args.format, meta)
+    _write_table(rows, ["regime", "method", "replicate", "seed", "metric", "value"], out, args.format, meta)
     return 0
 
 

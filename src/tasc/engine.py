@@ -18,6 +18,7 @@ from statistics import NormalDist
 import numpy as np
 
 from ._numeric import check_integer_fields, cholesky, ensure_spd, gate_factor_diag, min_eig, spd_solve, symmetrize
+from .baselines import DonorWeights
 from .errors import ConfigError, FitError, NumericalError, TascError
 from .panel import PanelData
 from .ssm import SmoothedTrajectory, StateSpaceParams, smooth_pass
@@ -26,15 +27,13 @@ from .ssm import filter_pass as _forward  # the name the layer tracer wraps
 __all__ = [
     "EmConfig",
     "SufficientStats",
-    "CounterfactualEstimate",
     "EmResult",
-    "TascResult",
+    "Prediction",
     "init_params",
     "accumulate_stats",
     "m_step",
     "em_pre",
     "tasc_infer",
-    "confidence_width",
 ]
 
 logger = logging.getLogger("tasc")
@@ -105,24 +104,6 @@ class SufficientStats:
 
 
 @dataclass(frozen=True)
-class CounterfactualEstimate:
-    """Post-intervention counterfactual path for the target unit.
-
-    ``var_signal`` is the smoothed latent contribution h1' P h1 per period and
-    ``var_pred`` adds the target's observation-noise variance.  The interval
-    bounds are Gaussian at the configured ``level`` with variance ``var_pred``.
-    """
-
-    y_hat: np.ndarray
-    var_signal: np.ndarray
-    var_pred: np.ndarray
-    ci_lower: np.ndarray
-    ci_upper: np.ndarray
-    fitted_pre: np.ndarray
-    level: float
-
-
-@dataclass(frozen=True)
 class EmResult:
     """The winning EM restart: its parameters, its log-likelihood trace and its index."""
 
@@ -132,11 +113,28 @@ class EmResult:
 
 
 @dataclass(frozen=True)
-class TascResult:
-    """The EM fit :func:`tasc_infer` used and the counterfactual it inferred with it."""
+class Prediction:
+    """One estimator's output: the target's post-intervention path, its in-sample fit and the method's extras.
 
-    em: EmResult
-    estimate: CounterfactualEstimate
+    The time-aware method adds Gaussian interval bounds with variance
+    ``var_pred``, which is ``var_signal`` (the smoothed latent contribution
+    h1' P h1 per period) plus the target's observation-noise variance, and
+    ``em``, the EM fit the counterfactual pass used.  The baselines add
+    their donor ``weights``.  A field the method does not produce is None.
+    """
+
+    y_hat: np.ndarray
+    fitted_pre: np.ndarray
+    ci_lower: np.ndarray | None = None
+    ci_upper: np.ndarray | None = None
+    var_signal: np.ndarray | None = None
+    var_pred: np.ndarray | None = None
+    weights: DonorWeights | None = None
+    em: EmResult | None = None
+
+    @property
+    def loglik_trace(self) -> list[float]:
+        return [] if self.em is None else self.em.loglik_trace
 
 
 def init_params(Y_pre: np.ndarray, config: EmConfig, restart_index: int = 0) -> StateSpaceParams:
@@ -304,18 +302,18 @@ def tasc_infer(
     config: EmConfig,
     level: float = 0.95,
     em: EmResult | None = None,
-) -> TascResult:
+) -> Prediction:
     """Learn the model on pre-intervention columns, then infer the counterfactual.
 
     The full-length filtering pass treats the target as missing from the
     intervention on (its stored post values never matter), a smoothing pass
     refines every state, and the counterfactual mean per post period is the
-    target loading applied to the smoothed state.  Intervals are Gaussian with
-    variance ``var_pred`` (signal plus target noise).
+    target loading applied to the smoothed state.  Intervals are Gaussian at
+    ``level`` with variance ``var_pred`` (signal plus target noise).
 
     A given ``em`` replaces the EM fit: only the counterfactual pass runs,
     with its theta, whose rows must follow the panel's rows.  ``config`` then
-    supplies only ``d``, which is checked against theta.
+    supplies only ``d``, checked against theta.  The :class:`Prediction` holds the fit used as ``em``.
     """
     if not 0.0 < level < 1.0:
         raise ConfigError("confidence level must be in (0, 1)")
@@ -342,18 +340,7 @@ def tasc_infer(
     var_pred = var_signal + r1
     z = -NormalDist().inv_cdf((1.0 - level) / 2.0)  # not 0.5 + level/2, which rounds to 1 as level nears 1
     width = z * np.sqrt(var_pred)
-    estimate = CounterfactualEstimate(
-        y_hat=y_hat,
-        var_signal=var_signal,
-        var_pred=var_pred,
-        ci_lower=y_hat - width,
-        ci_upper=y_hat + width,
-        fitted_pre=fitted_pre,
-        level=level,
+    return Prediction(
+        y_hat=y_hat, fitted_pre=fitted_pre, ci_lower=y_hat - width, ci_upper=y_hat + width,
+        var_signal=var_signal, var_pred=var_pred, em=em,
     )
-    return TascResult(em=em, estimate=estimate)
-
-
-def confidence_width(est: CounterfactualEstimate) -> float:
-    """Mean distance between upper and lower interval bounds over post periods."""
-    return float(np.mean(est.ci_upper - est.ci_lower))

@@ -18,15 +18,14 @@ from typing import IO, Sequence
 import numpy as np
 
 from ._numeric import derive_seed, open_for_write
-from .baselines import RscConfig, DonorWeights, rsc_fit, sc_fit, sc_predict
-from .engine import EmConfig, EmResult, confidence_width, tasc_infer
+from .baselines import RscConfig, rsc_fit, sc_fit, sc_predict
+from .engine import EmConfig, EmResult, Prediction, tasc_infer
 from .errors import ConfigError, TascError
 from .panel import PanelData, mean_center, permute_columns
 from .simulate import SimulationConfig, simulate
 
 __all__ = [
     "Estimator",
-    "Prediction",
     "EvalReport",
     "PlaceboEntry",
     "StressResult",
@@ -77,7 +76,7 @@ def rmse_by_horizon(
 
 @dataclass
 class Estimator:
-    """A method tag plus the configuration needed to run it.
+    """A method tag plus the configuration needed to run it; :func:`fit_predict` returns one :class:`Prediction`.
 
     ``center`` applies donor-mean centering before fitting and adds the mean
     trajectory back to predictions.  ``sc_tol`` is the gap tolerance of
@@ -87,7 +86,8 @@ class Estimator:
     counterfactual pass with it and returns it as ``Prediction.em``.
     :func:`placebo_suite` sets it so that every donor reuses one fit, the first
     donor's with that donor's seed, rows permuted and restart index and trace
-    kept; only with ``center`` does each donor refit.  ``level`` is in (0, 1).
+    kept; only with ``center`` does each donor refit.  ``level``, in (0, 1),
+    is the confidence level of the time-aware method's interval.
     """
 
     method: str
@@ -112,26 +112,6 @@ class Estimator:
             self.name = self.method
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Unified output of a single fit: post path, in-sample fit and extras.
-
-    ``em`` is the time-aware method's EM fit, winning restart included, as it reached the counterfactual pass.
-    """
-
-    y_hat: np.ndarray
-    fitted_pre: np.ndarray
-    ci_lower: np.ndarray | None = None
-    ci_upper: np.ndarray | None = None
-    ci_width: float | None = None
-    weights: DonorWeights | None = None
-    em: EmResult | None = None
-
-    @property
-    def loglik_trace(self) -> list[float]:
-        return [] if self.em is None else self.em.loglik_trace
-
-
 def fit_predict(panel: PanelData, estimator: Estimator, seed: int | None = None) -> Prediction:
     """Fit one estimator on a panel and predict the post-intervention target.
 
@@ -143,12 +123,7 @@ def fit_predict(panel: PanelData, estimator: Estimator, seed: int | None = None)
 
     if estimator.method == "tasc":
         config = estimator.em if seed is None else replace(estimator.em, seed=seed)
-        result = tasc_infer(work, config, level=estimator.level, em=estimator.em_result)
-        est = result.estimate
-        pred = Prediction(
-            y_hat=est.y_hat, fitted_pre=est.fitted_pre, ci_lower=est.ci_lower, ci_upper=est.ci_upper,
-            ci_width=confidence_width(est), em=result.em,
-        )
+        pred = tasc_infer(work, config, level=estimator.level, em=estimator.em_result)
     else:
         if estimator.method == "sc":
             donors = work.donors
@@ -268,10 +243,12 @@ class StressResult:
 
     @property
     def mean_ratio(self) -> float:
+        """Mean successful shuffled RMSE over the ordered one: NaN without a success or for 0/0, inf for x/0."""
         ok = [r for r, e in zip(self.rmse_shuffled, self.errors) if e is None]
         if not ok:
             return float("nan")
-        return float(np.mean(ok) / self.rmse_ordered)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.mean(ok) / self.rmse_ordered)
 
 
 def permutation_stress_test(
@@ -314,9 +291,9 @@ def permutation_stress_test(
 class EvalReport:
     """One sweep cell: a (regime, method, replicate) evaluation.
 
-    ``coverage`` is the fraction of post periods whose true target lies in
-    ``[ci_lower, ci_upper]``; like ``ci_width`` it is None for methods
-    without an interval (sc, rsc) and for a failed fit.
+    ``ci_width`` is the mean width of the reported interval over the post
+    periods and ``coverage`` the fraction of them whose true target lies in
+    it; both are None without an interval (sc, rsc) and for a failed fit.
     """
 
     regime: str
@@ -373,7 +350,7 @@ def method_sweep(
                     ],
                     rmse_post=rmse(pred.y_hat, truth_post),
                     rmse_pre=rmse(pred.fitted_pre, truth_pre),
-                    ci_width=pred.ci_width,
+                    ci_width=None if pred.ci_lower is None else float(np.mean(pred.ci_upper - pred.ci_lower)),
                     coverage=None if pred.ci_lower is None else float(
                         np.mean((pred.ci_lower <= truth_post) & (truth_post <= pred.ci_upper))
                     ),

@@ -93,7 +93,7 @@ class TestCriterion2InfiniteVariance:
         junk[0, 25:] = 1e9
         poked = sim.panel.with_values(junk, target_post_missing=True)
         other = tasc_infer(poked, config)
-        assert np.array_equal(base.estimate.y_hat, other.estimate.y_hat)
+        assert np.array_equal(base.y_hat, other.y_hat)
         report("2 infinite-variance equivalence", f"max-abs {worst:.2e}, path exact")
 
 

@@ -8,6 +8,7 @@ from tasc import (
     EmConfig, PanelData, ParseError, fit_predict, load_csv, params_from_json, save_csv, weights_from_json, weights_to_json
 )
 from tasc import cli
+from tasc._numeric import write_json
 from tasc.cli import main
 
 
@@ -337,6 +338,50 @@ class TestBench:
         assert code == 0
         rows = read_csv_rows(out)
         assert [row["regime"] for row in rows] == ["tiny"]
+
+
+class TestOutputCheckedFirst:
+    @pytest.mark.parametrize("command", ["infer", "placebo", "permute", "bench", "simulate"])
+    def test_output_under_a_file_exits_1_before_any_work(self, toy_panel_csv, tmp_path, capsys, monkeypatch, command):
+        path, t0 = toy_panel_csv
+        calls = []
+        for name in ("fit_predict", "placebo_suite", "permutation_stress_test", "method_sweep", "simulate"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: calls.append(name))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        if command == "simulate":
+            inputs, out = ["--config", '{"d_true": 1, "n_units": 4, "t_total": 12, "t0": 8}'], blocker / "sim"
+        elif command == "bench":
+            regimes = '[{"d_true": 1, "n_units": 4, "t_total": 12, "t0": 8}]'
+            inputs, out = ["--regimes", regimes, "--methods", "tasc", "--d", "1"], blocker / "out.csv"
+        else:
+            inputs, out = ["--input", str(path), "--t0", str(t0), "--method", "tasc", "--d", "1"], blocker / "out.csv"
+        assert main([command, *inputs, "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("tasc: error: ")
+        assert calls == []
+
+
+class TestJsonTables:
+    def test_failed_placebo_donors_write_null_cells(self, toy_panel_csv, tmp_path):
+        # d = 4 fits the 4-unit panel but none of the suite's 3-row pseudo-panels.
+        path, t0 = toy_panel_csv
+        out = tmp_path / "p.json"
+        code = main([
+            "placebo", "--input", str(path), "--t0", str(t0), "--method", "tasc", "--d", "4", "--n1", "5",
+            "--format", "json", "--output", str(out),
+        ])
+        assert code == 0
+
+        def strict(token):
+            raise ValueError(f"{token} is not JSON")
+
+        rows = json.loads(out.read_text(), parse_constant=strict)["rows"]
+        assert len(rows) == 3
+        for row in rows:
+            assert row["error"] and row["rmse_pre"] is row["rmse_post"] is row["mse_ratio_to_target"] is None
+        json.loads(Path(f"{out}.retained.json").read_text(), parse_constant=strict)
+        with pytest.raises(ValueError):
+            write_json({"rows": [{"rmse": float("nan")}]})
 
 
 class TestParsing:

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,18 +17,23 @@ from tasc import (
     PanelData,
     SimulationConfig,
     StateSpaceParams,
+    Estimator,
+    Prediction,
+    RscConfig,
     accumulate_stats,
-    confidence_width,
     em_pre,
+    fit_predict,
     filter_pass,
     init_params,
     m_step,
+    method_sweep,
     simulate,
     smooth_pass,
     SmoothedTrajectory,
     tasc_infer,
 )
 
+from tasc._numeric import derive_seed
 from tasc.engine import EmResult, SufficientStats
 
 from oracles import q_gradient_fd, random_theta
@@ -347,7 +352,7 @@ class TestTascInfer:
         result = tasc_infer(panel, config)
         donor_post = panel.values[1, panel.t0 :]
         r1 = float(result.em.theta.R[0])
-        assert np.max(np.abs(result.estimate.y_hat - donor_post)) <= 2.0 * np.sqrt(r1)
+        assert np.max(np.abs(result.y_hat - donor_post)) <= 2.0 * np.sqrt(r1)
 
     def test_counterfactual_invariant_to_target_post_cells(self):
         panel = self_similar_panel()
@@ -358,26 +363,26 @@ class TestTascInfer:
         junk[0, panel.t0 :] = 1e6
         overwritten = panel.with_values(junk, target_post_missing=True)
         other = tasc_infer(overwritten, config)
-        assert np.array_equal(base.estimate.y_hat, other.estimate.y_hat)
+        assert np.array_equal(base.y_hat, other.y_hat)
 
         junk[0, panel.t0 :] = np.nan
         with_nan = panel.with_values(junk, target_post_missing=True)
         third = tasc_infer(with_nan, config)
-        assert np.array_equal(base.estimate.y_hat, third.estimate.y_hat)
+        assert np.array_equal(base.y_hat, third.y_hat)
 
     def test_tiny_level_collapses_interval(self):
         panel = self_similar_panel()
         config = EmConfig(d=1, n_iters=10, n_restarts=1, seed=2)
         result = tasc_infer(panel, config, level=1e-9)
-        assert confidence_width(result.estimate) < 1e-6
+        assert np.mean(result.ci_upper - result.ci_lower) < 1e-6
 
     def test_deterministic_given_seed(self):
         panel = self_similar_panel()
         config = EmConfig(d=1, n_iters=15, n_restarts=2, seed=7)
         a = tasc_infer(panel, config)
         b = tasc_infer(panel, config)
-        assert np.array_equal(a.estimate.y_hat, b.estimate.y_hat)
-        assert np.array_equal(a.estimate.ci_lower, b.estimate.ci_lower)
+        assert np.array_equal(a.y_hat, b.y_hat)
+        assert np.array_equal(a.ci_lower, b.ci_lower)
         assert (a.em.loglik_trace, a.em.restart_index) == (b.em.loglik_trace, b.em.restart_index)
 
     def test_bad_level_rejected(self):
@@ -388,7 +393,7 @@ class TestTascInfer:
     def test_interval_uses_gaussian_quantile(self):
         panel = self_similar_panel()
         config = EmConfig(d=1, n_iters=10, n_restarts=1, seed=4)
-        est = tasc_infer(panel, config, level=0.95).estimate
+        est = tasc_infer(panel, config, level=0.95)
         z = (est.ci_upper - est.y_hat) / np.sqrt(est.var_pred)
         assert np.allclose(z, 1.959963984540054, atol=1e-9)
 
@@ -397,7 +402,7 @@ class TestTascInfer:
         level = 0.9999999999999999
         assert 0.5 + level / 2.0 == 1.0
         panel = self_similar_panel()
-        est = tasc_infer(panel, EmConfig(d=1, n_iters=10, n_restarts=1, seed=4), level=level).estimate
+        est = tasc_infer(panel, EmConfig(d=1, n_iters=10, n_restarts=1, seed=4), level=level)
         assert np.all(np.isfinite(est.ci_lower)) and np.all(np.isfinite(est.ci_upper))
         assert np.all(est.ci_upper - est.y_hat > 8.0 * np.sqrt(est.var_pred))
 
@@ -444,8 +449,8 @@ class TestDonorOrder:
             panel.values[order], panel.t0, tuple(panel.unit_labels[i] for i in order), panel.time_labels
         )
         config = EmConfig(d=2, n_iters=10, n_restarts=1, seed=seed)
-        y_hat = tasc_infer(panel, config).estimate.y_hat
-        again = tasc_infer(permuted, config).estimate.y_hat
+        y_hat = tasc_infer(panel, config).y_hat
+        again = tasc_infer(permuted, config).y_hat
         assert np.max(np.abs(again - y_hat)) <= 1e-10 * np.max(np.abs(y_hat))
 
 
@@ -459,10 +464,10 @@ class TestScaleEquivariance:
         # rounds the data.
         panel = simulate(SimulationConfig(d_true=2, n_units=8, t_total=30, t0=20, seed=seed)).panel
         config = EmConfig(d=2, n_iters=10, n_restarts=1, seed=seed)
-        y_hat = tasc_infer(panel, config).estimate.y_hat
+        y_hat = tasc_infer(panel, config).y_hat
         for c, tol in ((2.0**k, 1e-12), (10.0**log_c, 1e-10)):
             scaled = PanelData(c * panel.values, panel.t0, panel.unit_labels, panel.time_labels)
-            again = tasc_infer(scaled, config).estimate.y_hat
+            again = tasc_infer(scaled, config).y_hat
             assert np.max(np.abs(again - c * y_hat)) <= tol * np.max(np.abs(c * y_hat))
 
 
@@ -474,8 +479,8 @@ class TestTascInferGivenFit:
         config = EmConfig(d=1, n_iters=10, n_restarts=2, seed=5)
         full = tasc_infer(panel, config)
         again = tasc_infer(panel, config, em=full.em)
-        assert np.array_equal(again.estimate.y_hat, full.estimate.y_hat)
-        assert np.array_equal(again.estimate.var_pred, full.estimate.var_pred)
+        assert np.array_equal(again.y_hat, full.y_hat)
+        assert np.array_equal(again.var_pred, full.var_pred)
         assert again.em is full.em
 
     def test_row_count_mismatch_rejected(self):
@@ -511,42 +516,57 @@ class TestTascInferGivenFit:
         permuted_theta = replace(theta, H=theta.H[order], R=R)
 
         config = EmConfig(d=d, diag_noise=diag_noise)
-        base = tasc_infer(panel, config, em=EmResult(theta=theta, loglik_trace=[])).estimate
-        other = tasc_infer(permuted_panel, config, em=EmResult(theta=permuted_theta, loglik_trace=[])).estimate
+        base = tasc_infer(panel, config, em=EmResult(theta=theta, loglik_trace=[]))
+        other = tasc_infer(permuted_panel, config, em=EmResult(theta=permuted_theta, loglik_trace=[]))
         for name in ("y_hat", "var_signal", "fitted_pre"):
             ref, got = getattr(base, name), getattr(other, name)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
-class TestConfidenceWidth:
-    def test_constant_width(self):
-        est = _make_estimate(y_hat=np.zeros(4), width=np.full(4, 3.0))
-        assert confidence_width(est) == pytest.approx(3.0)
+class TestOnePredictionRecord:
+    """``tasc_infer`` returns the one record that ``fit_predict`` returns and ``method_sweep`` reads."""
 
-    def test_gaussian_quantile_value(self):
-        # level 0.95 and unit prediction variance: width = 2 * 1.959964.
-        var = np.ones(5)
-        z = 1.959963984540054
-        est = _make_estimate(y_hat=np.zeros(5), width=2 * z * np.sqrt(var))
-        assert confidence_width(est) == pytest.approx(2 * z, abs=1e-9)
+    def test_fit_predict_returns_the_tasc_infer_record_field_for_field(self, monkeypatch):
+        import tasc.evaluate
 
-    def test_zero_variance(self):
-        est = _make_estimate(y_hat=np.ones(3), width=np.zeros(3))
-        assert confidence_width(est) == 0.0
+        panel = self_similar_panel()
+        config = EmConfig(d=1, n_iters=10, n_restarts=2, seed=3)
+        made = []
 
+        def recorded(*args, **kwargs):
+            made.append(tasc_infer(*args, **kwargs))
+            return made[-1]
 
-def _make_estimate(y_hat, width):
-    from tasc import CounterfactualEstimate
+        monkeypatch.setattr(tasc.evaluate, "tasc_infer", recorded)
+        pred = fit_predict(panel, Estimator(method="tasc", em=config))
+        assert len(made) == 1 and pred is made[0]
+        again = tasc_infer(panel, config, em=pred.em)
+        for f in fields(Prediction):
+            got, ref = getattr(pred, f.name), getattr(again, f.name)
+            if f.name == "em" or ref is None:
+                assert got is ref, f.name
+            else:
+                assert np.array_equal(got, ref), f.name
 
-    return CounterfactualEstimate(
-        y_hat=y_hat,
-        var_signal=np.zeros_like(y_hat),
-        var_pred=np.zeros_like(y_hat),
-        ci_lower=y_hat - width / 2,
-        ci_upper=y_hat + width / 2,
-        fitted_pre=np.zeros(1),
-        level=0.95,
-    )
+    def test_sweep_width_is_the_mean_width_of_a_refits_reported_bounds(self):
+        em = EmConfig(d=2, n_iters=10, n_restarts=1)
+        estimators = [
+            Estimator(method="tasc", em=em),
+            Estimator(method="tasc", em=em, center=True, name="tasc_c"),
+            Estimator(method="sc"),
+            Estimator(method="rsc", rsc=RscConfig(d=2, lambda_=0.1)),
+        ]
+        regime = SimulationConfig(d_true=2, n_units=5, t_total=24, t0=16, seed=0)
+        reports = method_sweep([regime], estimators, replicates=2, seed=4)
+        for i, report in enumerate(reports):
+            assert report.error is None
+            estimator = estimators[i % len(estimators)]
+            if estimator.method != "tasc":
+                assert report.ci_width is None and report.coverage is None
+                continue
+            panel = simulate(replace(regime, seed=derive_seed(4, 0, report.replicate))).panel
+            pred = fit_predict(panel, estimator, report.seed)
+            assert report.ci_width == float(np.mean(pred.ci_upper - pred.ci_lower))
 
 
 class TestEmConfigValidation:

@@ -25,6 +25,7 @@ from tasc import (
     threshold_filter,
     write_rows_csv,
 )
+from tasc.evaluate import StressResult
 
 
 def make_panel(values, t0):
@@ -259,8 +260,8 @@ class TestPlaceboFitReuse:
             assert pred.loglik_trace == first.loglik_trace
             # The pass on that theta alone, outside the suite, gives the same path.
             alone = tasc_infer(pseudo, self.EST.em, em=EmResult(theta=theta, loglik_trace=[]))
-            assert np.array_equal(pred.y_hat, alone.estimate.y_hat)
-            assert np.array_equal(pred.ci_upper, alone.estimate.ci_upper)
+            assert np.array_equal(pred.y_hat, alone.y_hat)
+            assert np.array_equal(pred.ci_upper, alone.ci_upper)
 
     def test_reused_fits_keep_the_winning_restart_and_trace(self, monkeypatch):
         import tasc.evaluate
@@ -363,6 +364,15 @@ class TestPermutationStress:
         for value in result.rmse_shuffled:
             assert value == result.rmse_ordered
         assert result.mean_ratio == pytest.approx(1.0)
+
+    def test_zero_ordered_rmse_gives_a_ratio_without_a_warning(self):
+        # The target equals donor 2, so SC fits it exactly in every ordering: 0 / 0.
+        values = np.random.default_rng(3).standard_normal((4, 12))
+        values[0] = values[2]
+        result = permutation_stress_test(make_panel(values, 8), SC, n_shuffles=3, seed=0)
+        assert result.rmse_ordered == 0.0 and result.rmse_shuffled == [0.0] * 3
+        assert np.isnan(result.mean_ratio)
+        assert StressResult(0.0, [0.5, 1.5], [None, None]).mean_ratio == np.inf
 
     def test_sc_and_rsc_invariant_to_shuffles(self):
         config = SimulationConfig(d_true=2, n_units=10, t_total=40, t0=25, seed=7)
